@@ -157,6 +157,13 @@ class BenchJson {
     phases_.push_back({name, phase, mean_seconds, count});
   }
 
+  /// Floor row: the ratio a CI gate checked (`name`, e.g. "fused_program /
+  /// staged_cached_plans") next to its bar, emitted as a "floors" array
+  /// that bench_summary.py renders as its own table.
+  void add_floor(const std::string& name, double ratio, double floor) {
+    floors_.push_back({name, ratio, floor});
+  }
+
   /// Writes the file; returns false (and says so on stderr) when the path
   /// is unwritable. Benches call this after their floor checks so a gating
   /// failure still aborts before a half-written artifact uploads.
@@ -201,9 +208,9 @@ class BenchJson {
       }
       std::fprintf(f, "}%s\n", i + 1 < rows_.size() ? "," : "");
     }
-    std::fprintf(f, "  ]%s\n", phases_.empty() ? "" : ",");
+    std::fprintf(f, "  ]");
     if (!phases_.empty()) {
-      std::fprintf(f, "  \"phases\": [\n");
+      std::fprintf(f, ",\n  \"phases\": [\n");
       for (std::size_t i = 0; i < phases_.size(); ++i) {
         const PhaseRow& p = phases_[i];
         std::fprintf(f,
@@ -213,8 +220,21 @@ class BenchJson {
                      static_cast<unsigned long long>(p.count),
                      i + 1 < phases_.size() ? "," : "");
       }
-      std::fprintf(f, "  ]\n");
+      std::fprintf(f, "  ]");
     }
+    if (!floors_.empty()) {
+      std::fprintf(f, ",\n  \"floors\": [\n");
+      for (std::size_t i = 0; i < floors_.size(); ++i) {
+        const FloorRow& r = floors_[i];
+        std::fprintf(f,
+                     "    {\"name\": \"%s\", \"ratio\": %.4g, "
+                     "\"floor\": %.4g}%s\n",
+                     r.name.c_str(), r.ratio, r.floor,
+                     i + 1 < floors_.size() ? "," : "");
+      }
+      std::fprintf(f, "  ]");
+    }
+    std::fprintf(f, "\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("bench results written to %s\n", path_.c_str());
@@ -250,9 +270,15 @@ class BenchJson {
     double mean_seconds = 0.0;
     std::uint64_t count = 0;
   };
+  struct FloorRow {
+    std::string name;
+    double ratio = 0.0;
+    double floor = 0.0;
+  };
   std::string path_;
   std::vector<Row> rows_;
   std::vector<PhaseRow> phases_;
+  std::vector<FloorRow> floors_;
 };
 
 }  // namespace sw::bench

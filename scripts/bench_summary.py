@@ -47,12 +47,13 @@ def find_bench_files(paths):
             if real in seen:
                 continue
             seen.add(real)
-            leg = os.path.relpath(os.path.dirname(c)) or "."
+            leg = os.path.relpath(os.path.dirname(c) or ".")
             yield leg, c
 
 
 def load_rows(leg, path):
-    """(result_rows, phase_rows): flat dicts annotated with leg + host."""
+    """(result_rows, phase_rows, floor_rows): flat dicts annotated with leg
+    + host."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     host = doc.get("host", {})
@@ -84,7 +85,18 @@ def load_rows(leg, path):
                 "count": int(p.get("count", 0)),
             }
         )
-    return rows, phases
+    floors = []
+    for f in doc.get("floors", []):
+        floors.append(
+            {
+                "leg": leg,
+                "bench": bench,
+                "name": f.get("name", "?"),
+                "ratio": float(f.get("ratio", 0.0)),
+                "floor": float(f.get("floor", 0.0)),
+            }
+        )
+    return rows, phases, floors
 
 
 def fmt_rate(words_per_s):
@@ -108,11 +120,13 @@ def fmt_mean_us(seconds):
 def main(argv):
     rows = []
     phase_rows = []
+    floor_rows = []
     for leg, path in find_bench_files(argv[1:]):
         try:
-            file_rows, file_phases = load_rows(leg, path)
+            file_rows, file_phases, file_floors = load_rows(leg, path)
             rows.extend(file_rows)
             phase_rows.extend(file_phases)
+            floor_rows.extend(file_floors)
         except (OSError, ValueError) as e:
             print(f"warning: {path}: {e}", file=sys.stderr)
     if not rows:
@@ -159,6 +173,29 @@ def main(argv):
         print("|" + "|".join("-" * (w + 2) for w in pwidths) + "|")
         for row in ptable:
             print(pline(row))
+
+    if floor_rows:
+        # The ratios the benches gate CI on (bench_common.h add_floor),
+        # e.g. the fused program over staged evaluation on cached plans.
+        floor_rows.sort(key=lambda r: (r["bench"], r["name"], r["leg"]))
+        fheader = ["bench", "ratio", "measured", "floor", "verdict", "leg"]
+        ftable = [
+            [r["bench"], r["name"], f"{r['ratio']:.2f}x",
+             f"{r['floor']:.2f}x",
+             "ok" if r["ratio"] >= r["floor"] else "BELOW FLOOR", r["leg"]]
+            for r in floor_rows
+        ]
+        fwidths = [max(len(h), *(len(row[i]) for row in ftable))
+                   for i, h in enumerate(fheader)]
+        def fline(cells):
+            return "| " + " | ".join(
+                c.ljust(w) for c, w in zip(cells, fwidths)) + " |"
+        print()
+        print("floors:")
+        print(fline(fheader))
+        print("|" + "|".join("-" * (w + 2) for w in fwidths) + "|")
+        for row in ftable:
+            print(fline(row))
 
     legs = sorted({(r["leg"], r["host_kernel"]) for r in rows})
     print()

@@ -49,6 +49,14 @@ std::string render_service_metrics(const sw::serve::ServiceStats& stats) {
            stats.cache.f32_detectors);
   line_u64(out, "sw_serve_plan_cache_f64_rescue_detectors",
            stats.cache.f64_rescue_detectors);
+  line_u64(out, "sw_serve_plan_cache_program_builds",
+           stats.cache.program_builds);
+  line_u64(out, "sw_serve_plan_cache_program_stages",
+           stats.cache.program_stages);
+  line_u64(out, "sw_serve_plan_cache_program_stage_designs",
+           stats.cache.program_stage_designs);
+  line_u64(out, "sw_serve_plan_cache_max_program_depth",
+           stats.cache.max_program_depth);
   // Detector-granularity f32 share across every f32-requested build: 1.0
   // means every detector runs f32, 0.0 none (or no f32 builds yet).
   const double mix_total = static_cast<double>(stats.cache.f32_detectors) +

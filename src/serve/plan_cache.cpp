@@ -270,6 +270,7 @@ PlanCache::ProgramLookup PlanCache::get_or_build_program(
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.program_builds;
         stats_.program_stages += built->num_stages();
+        stats_.program_stage_designs += built->program().num_stage_designs();
         if (built->depth() > stats_.max_program_depth) {
           stats_.max_program_depth = built->depth();
         }

@@ -89,9 +89,10 @@ class CachedPlan {
 };
 
 /// One cached multi-stage program: the fused EvalProgram (which owns its
-/// per-stage gates and plans) built once from a portable ProgramSpec
-/// against the cache's designer and engine. Immutable once constructed and
-/// handed out as shared_ptr<const>, like CachedPlan.
+/// stage gates and plans, one per distinct stage GateSpec) built once
+/// from a portable ProgramSpec against the cache's designer and engine.
+/// Immutable once constructed and handed out as shared_ptr<const>, like
+/// CachedPlan.
 class CachedProgram {
  public:
   CachedProgram(sw::wavesim::ProgramSpec spec,
@@ -142,6 +143,10 @@ struct PlanCacheStats {
   /// Deepest stage-to-stage path among built programs (physical cascade
   /// latency in stages).
   std::uint64_t max_program_depth = 0;
+  /// Stage gates actually designed across every program built: stages
+  /// with equal GateSpecs share one design, so this stays at or below
+  /// program_stages (a lowered circuit designs at most two).
+  std::uint64_t program_stage_designs = 0;
 };
 
 class PlanCache {

@@ -1,6 +1,7 @@
 #include "wavesim/eval_program.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <limits>
@@ -12,16 +13,96 @@ namespace sw::wavesim {
 
 namespace {
 
-/// Words per fused sub-block: sized so one block's slot matrix plus every
-/// stage's output bits stay within L2 while still amortising the per-stage
-/// kernel call over enough words for the SIMD lanes to matter.
-constexpr std::size_t kBlockWords = 1024;
+/// Plane groups per fused sub-block (1024 words): one block's plane bank
+/// and gather scratch stay in L1 while each stage's kernel call still
+/// covers enough words to amortise its setup.
+constexpr std::size_t kBlockGroups = 16;
+constexpr std::size_t kPlaneWords = kernels::kPlaneWords;
 
 std::uint64_t stage_clock_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+constexpr std::uint64_t kLowBitOfEachByte = 0x0101010101010101ull;
+
+/// Bytes [0, width) of p as the low bytes of a word, byte j at bits 8j.
+std::uint64_t load_bytes(const std::uint8_t* p, std::size_t width) {
+  std::uint64_t x = 0;
+  std::memcpy(&x, p, width);
+  if constexpr (std::endian::native == std::endian::big) {
+    x = __builtin_bswap64(x);
+  }
+  return x;
+}
+
+void store_bytes(std::uint8_t* p, std::uint64_t x, std::size_t width) {
+  if constexpr (std::endian::native == std::endian::big) {
+    x = __builtin_bswap64(x);
+  }
+  std::memcpy(p, &x, width);
+}
+
+/// 0x01 in every byte of x that is nonzero, 0x00 elsewhere (any nonzero
+/// byte is a set bit, as in the kernels' byte entries).
+std::uint64_t nonzero_bytes(std::uint64_t x) {
+  constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
+  return ((((x & kLow7) + kLow7) | x) >> 7) & kLowBitOfEachByte;
+}
+
+/// Packs the row-major num_words x cols byte matrix `rows` into
+/// column-major planes: planes[c * num_groups + g] bit l is 1 iff byte
+/// (64 g + l, c) is nonzero. Lanes past num_words come out 0. Works on
+/// 8 words x 8 columns at a time: byte j of `tile` collects column
+/// c0 + j's bits of the eight words, which is one byte of that plane.
+void pack_planes(const std::uint8_t* rows, std::size_t cols,
+                 std::size_t num_words, std::size_t num_groups,
+                 std::uint64_t* planes) {
+  std::fill_n(planes, cols * num_groups, std::uint64_t{0});
+  for (std::size_t w0 = 0; w0 < num_words; w0 += 8) {
+    const std::size_t g = w0 / kPlaneWords;
+    const std::size_t shift = w0 % kPlaneWords;
+    const std::size_t count = std::min<std::size_t>(8, num_words - w0);
+    for (std::size_t c0 = 0; c0 < cols; c0 += 8) {
+      const std::size_t width = std::min<std::size_t>(8, cols - c0);
+      std::uint64_t tile = 0;
+      for (std::size_t k = 0; k < count; ++k) {
+        tile |= nonzero_bytes(load_bytes(rows + (w0 + k) * cols + c0, width))
+                << k;
+      }
+      for (std::size_t j = 0; j < width; ++j) {
+        planes[(c0 + j) * num_groups + g] |= ((tile >> (8 * j)) & 0xFF)
+                                             << shift;
+      }
+    }
+  }
+}
+
+/// The inverse of pack_planes: writes rows [0, num_words) of the row-major
+/// num_words x cols byte matrix `rows` (one 0/1 byte per bit) from
+/// column-major planes. Lanes past num_words are never read.
+void unpack_planes(const std::uint64_t* planes, std::size_t num_groups,
+                   std::size_t cols, std::size_t num_words,
+                   std::uint8_t* rows) {
+  for (std::size_t w0 = 0; w0 < num_words; w0 += 8) {
+    const std::size_t g = w0 / kPlaneWords;
+    const std::size_t shift = w0 % kPlaneWords;
+    const std::size_t count = std::min<std::size_t>(8, num_words - w0);
+    for (std::size_t c0 = 0; c0 < cols; c0 += 8) {
+      const std::size_t width = std::min<std::size_t>(8, cols - c0);
+      std::uint64_t tile = 0;
+      for (std::size_t j = 0; j < width; ++j) {
+        tile |= ((planes[(c0 + j) * num_groups + g] >> shift) & 0xFF)
+                << (8 * j);
+      }
+      for (std::size_t k = 0; k < count; ++k) {
+        store_bytes(rows + (w0 + k) * cols + c0,
+                    (tile >> k) & kLowBitOfEachByte, width);
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -82,14 +163,55 @@ EvalProgram::EvalProgram(ProgramSpec spec,
     : spec_(std::move(spec)), pool_(options.num_threads) {
   spec_.validate();
   options.precision = resolve_precision(options.precision);
+  const std::size_t n = spec_.num_channels();
+  const std::size_t prim = spec_.primary_slot_count();
+  const auto zero_column = static_cast<std::uint32_t>(bank_columns() - 1);
   stages_.reserve(spec_.stages.size());
-  for (const StageSpec& st : spec_.stages) {
+  for (std::size_t s = 0; s < spec_.stages.size(); ++s) {
+    const StageSpec& st = spec_.stages[s];
     Stage stage;
-    stage.gate = std::make_unique<sw::core::DataParallelGate>(
-        designer.design(st.gate), engine);
-    stage.plan = std::make_shared<const EvalPlan>(
-        *stage.gate, options.freq_tol, options.precision);
-    max_slots_ = std::max(max_slots_, stage.plan->slot_count());
+    // A lowered circuit repeats one GateSpec (up to invert_output), so
+    // each distinct gate is designed and planned once and shared.
+    for (std::size_t prev = 0; prev < s; ++prev) {
+      if (spec_.stages[prev].gate == st.gate) {
+        stage.gate = stages_[prev].gate;
+        stage.plan = stages_[prev].plan;
+        break;
+      }
+    }
+    if (!stage.plan) {
+      auto gate = std::make_shared<const sw::core::DataParallelGate>(
+          designer.design(st.gate), engine);
+      stage.plan = std::make_shared<const EvalPlan>(*gate, options.freq_tol,
+                                                    options.precision);
+      stage.gate = std::move(gate);
+      ++num_designs_;
+    }
+    SW_REQUIRE(stage.plan->slot_count() == st.sources.size() &&
+                   stage.plan->num_channels() == n,
+               "designed stage gate does not match its slot sources");
+    stage.sources.reserve(st.sources.size());
+    for (const SlotSource& src : st.sources) {
+      PlaneSource plane{0, src.negated ? ~std::uint64_t{0} : 0};
+      switch (src.kind) {
+        case SlotSource::Kind::kZero:
+          plane.column = zero_column;
+          break;
+        case SlotSource::Kind::kOne:
+          plane.column = zero_column;
+          plane.flip = ~plane.flip;
+          break;
+        case SlotSource::Kind::kPrimary:
+          plane.column = src.index;
+          break;
+        case SlotSource::Kind::kStage:
+          plane.column = static_cast<std::uint32_t>(prim + src.stage * n +
+                                                    src.index);
+          break;
+      }
+      stage.sources.push_back(plane);
+    }
+    max_slots_ = std::max(max_slots_, st.sources.size());
     stages_.push_back(std::move(stage));
   }
   depth_ = spec_.depth();
@@ -114,56 +236,35 @@ std::string EvalProgram::precision_label() const {
   return label;
 }
 
-void EvalProgram::eval_range(const kernels::Kernel& kernel,
-                             std::span<const std::uint8_t> bits,
-                             std::size_t begin, std::size_t end,
-                             std::vector<std::uint8_t>& slot_scratch,
-                             std::vector<std::uint8_t>& stage_bits,
-                             StageTimings* timings) const {
-  const std::size_t block = end - begin;
+void EvalProgram::eval_groups(const kernels::Kernel& kernel,
+                              std::span<const std::uint8_t> bits,
+                              std::size_t num_words, std::size_t g_begin,
+                              std::size_t g_end,
+                              std::vector<std::uint64_t>& bank,
+                              std::vector<std::uint64_t>& slot_planes,
+                              StageTimings* timings) const {
+  const std::size_t groups = g_end - g_begin;
   const std::size_t n = num_channels();
   const std::size_t prim = num_primary_slots();
+  const std::size_t w_begin = g_begin * kPlaneWords;
+  const std::size_t w_end = std::min(g_end * kPlaneWords, num_words);
+  pack_planes(bits.data() + w_begin * prim, prim, w_end - w_begin, groups,
+              bank.data());
+  std::fill_n(bank.data() + (bank_columns() - 1) * groups, groups,
+              std::uint64_t{0});
   for (std::size_t s = 0; s < stages_.size(); ++s) {
     const std::uint64_t stage_start = timings ? stage_clock_ns() : 0;
-    const EvalPlan& plan = *stages_[s].plan;
-    const auto& sources = spec_.stages[s].sources;
-    const std::size_t slots = plan.slot_count();
-    // Gather: re-encode this stage's drive bits from constants, primary
-    // columns and earlier stages' decoded verdicts. A negated source is
-    // one XOR — the physical drive-phase flip costs nothing here either.
-    for (std::size_t w = 0; w < block; ++w) {
-      std::uint8_t* row = slot_scratch.data() + w * slots;
-      const std::uint8_t* prim_row = bits.data() + (begin + w) * prim;
-      for (std::size_t j = 0; j < slots; ++j) {
-        const SlotSource& src = sources[j];
-        std::uint8_t v = 0;
-        switch (src.kind) {
-          case SlotSource::Kind::kZero:
-            v = 0;
-            break;
-          case SlotSource::Kind::kOne:
-            v = 1;
-            break;
-          case SlotSource::Kind::kPrimary:
-            v = prim_row[src.index] != 0 ? 1 : 0;
-            break;
-          case SlotSource::Kind::kStage:
-            v = stage_bits[src.stage * block * n + w * n + src.index];
-            break;
-        }
-        row[j] = v ^ static_cast<std::uint8_t>(src.negated ? 1 : 0);
-      }
+    const Stage& stage = stages_[s];
+    // Gather: each slot plane is a bank column, XOR 0 / ~0 — the physical
+    // drive-phase flip costs one word op per 64 words here.
+    std::uint64_t* dst = slot_planes.data();
+    for (const PlaneSource& src : stage.sources) {
+      const std::uint64_t* column = bank.data() + src.column * groups;
+      for (std::size_t g = 0; g < groups; ++g) dst[g] = column[g] ^ src.flip;
+      dst += groups;
     }
-    // Decode through the stage plan's own precision verdicts — the same
-    // three-way dispatch as BatchEvaluator::evaluate_bits, per stage.
-    std::uint8_t* out = stage_bits.data() + s * block * n;
-    if (plan.has_f32()) {
-      kernel.eval_bits_f32(plan, slot_scratch.data(), 0, block, out);
-    } else if (plan.is_block()) {
-      kernel.eval_bits_mixed(plan, slot_scratch.data(), 0, block, out);
-    } else {
-      kernel.eval_bits(plan, slot_scratch.data(), 0, block, out);
-    }
+    kernel.eval_planes(*stage.plan, slot_planes.data(), groups,
+                       bank.data() + (prim + s * n) * groups);
     if (timings) {
       timings->ns[s].fetch_add(stage_clock_ns() - stage_start,
                                std::memory_order_relaxed);
@@ -188,33 +289,27 @@ std::vector<std::uint8_t> EvalProgram::evaluate_impl(
   SW_REQUIRE(num_words <= kMax / (num_stages * n),
              "num_words x stage output count overflows size_t");
 
+  // The output columns are a contiguous run of bank columns: every
+  // stage's channel planes, or just the last stage's.
   const std::size_t out_cols = all_stages ? num_stages * n : n;
+  const std::size_t out_column = prim + num_stages * n - out_cols;
+  const std::size_t num_groups =
+      num_words / kPlaneWords + (num_words % kPlaneWords != 0 ? 1 : 0);
   std::vector<std::uint8_t> result(num_words * out_cols);
-  pool_.parallel_for(num_words, [&](std::size_t chunk_begin,
-                                    std::size_t chunk_end) {
-    const std::size_t scratch_words =
-        std::min(kBlockWords, chunk_end - chunk_begin);
-    std::vector<std::uint8_t> slot_scratch(max_slots_ * scratch_words);
-    std::vector<std::uint8_t> stage_bits(num_stages * n * scratch_words);
-    for (std::size_t begin = chunk_begin; begin < chunk_end;
-         begin += kBlockWords) {
-      const std::size_t end = std::min(begin + kBlockWords, chunk_end);
-      const std::size_t block = end - begin;
-      eval_range(kernel, bits, begin, end, slot_scratch, stage_bits,
-                 timings);
-      if (all_stages) {
-        for (std::size_t w = 0; w < block; ++w) {
-          std::uint8_t* dst = result.data() + (begin + w) * out_cols;
-          for (std::size_t s = 0; s < num_stages; ++s) {
-            std::memcpy(dst + s * n,
-                        stage_bits.data() + s * block * n + w * n, n);
-          }
-        }
-      } else {
-        std::memcpy(result.data() + begin * n,
-                    stage_bits.data() + (num_stages - 1) * block * n,
-                    block * n);
-      }
+  pool_.parallel_for(num_groups, [&](std::size_t chunk_begin,
+                                     std::size_t chunk_end) {
+    const std::size_t block = std::min(kBlockGroups, chunk_end - chunk_begin);
+    std::vector<std::uint64_t> bank(bank_columns() * block);
+    std::vector<std::uint64_t> slot_planes(max_slots_ * block);
+    for (std::size_t g = chunk_begin; g < chunk_end; g += kBlockGroups) {
+      const std::size_t g_end = std::min(g + kBlockGroups, chunk_end);
+      eval_groups(kernel, bits, num_words, g, g_end, bank, slot_planes,
+                  timings);
+      const std::size_t w_begin = g * kPlaneWords;
+      const std::size_t w_end = std::min(g_end * kPlaneWords, num_words);
+      unpack_planes(bank.data() + out_column * (g_end - g), g_end - g,
+                    out_cols, w_end - w_begin,
+                    result.data() + w_begin * out_cols);
     }
   });
   return result;

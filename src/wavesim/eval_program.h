@@ -6,19 +6,27 @@
 // paper's "passed to potential following SW gates", with the regenerating
 // transducers between stages flipping drive phases for free complements
 // and pinning constants. EvalProgram is the frozen multi-stage artefact:
-// one EvalPlan per stage plus an interconnect map (SlotSource per input
-// slot), evaluated block-wise so a word batch runs end to end through
-// every stage inside one pass — decoded verdict bits re-encoded as the
-// next stage's inputs in scratch buffers that stay cache-hot, no
-// per-stage replan, no per-stage round trip, no intermediate matrices of
-// batch size.
+// one EvalPlan per distinct stage gate plus an interconnect map
+// (SlotSource per input slot), evaluated block-wise so a word batch runs
+// end to end through every stage inside one pass.
 //
-// Each stage dispatches through the same kernel ladder as a single plan
-// (scalar/AVX2/AVX-512; eval_bits / eval_bits_f32 / eval_bits_mixed per
-// the stage plan's margin verdicts), so per-stage precision and block-f32
-// are honoured and every stage's decode is lane-for-lane bit-exact with
+// Between stages the words travel as bit planes, the representation the
+// kernels compute in anyway: one std::uint64_t per column per 64-word
+// group, bit l = word 64 g + l's bit (kernels::kPlaneWords). Per block the
+// primary byte matrix is packed into planes once; each stage then gathers
+// its slot planes with word-wide copies (source plane ^ 0 or ~0 for
+// negation, a zero plane ^ 0 / ~0 for kZero / kOne — the source table is
+// resolved at construction, there is no per-word switch) and runs the
+// kernel's single plane entry, which writes the stage's channel planes
+// straight into the block's plane bank for later stages to read. Only the
+// last stage (every stage, for evaluate_all_bits) is unpacked to bytes.
+//
+// The plane entry runs a stage plan's f32 run and f64 rescue run in one
+// call, so per-stage precision and block-f32 are honoured without a
+// dispatch here, and every stage's decode is lane-for-lane bit-exact with
 // evaluating that stage's gate alone — which makes the whole program
-// bit-exact with the per-stage physics path by induction.
+// bit-exact with the per-stage physics path by induction. Lanes past the
+// batch's last word hold don't-care bits that never reach the output.
 //
 // The ProgramSpec half of this header is the *portable* description —
 // per-stage GateSpecs plus the interconnect, no designed geometry — which
@@ -117,9 +125,10 @@ struct StageTimings {
 
 class EvalProgram {
  public:
-  /// Designs every stage's layout with `designer`, builds the per-stage
+  /// Designs each distinct stage gate once with `designer` (stages whose
+  /// GateSpecs compare equal share one layout and one plan), builds the
   /// EvalPlans on `engine` at options.precision (kAuto resolved; each
-  /// stage's margin analysis decides f32 / block-f32 / f64 independently)
+  /// plan's margin analysis decides f32 / block-f32 / f64 independently)
   /// and keeps a worker pool of options.num_threads for the word loop.
   /// Neither designer nor engine needs to outlive the program.
   EvalProgram(ProgramSpec spec, const sw::core::InlineGateDesigner& designer,
@@ -132,6 +141,10 @@ class EvalProgram {
     return spec_.primary_slot_count();
   }
   std::size_t depth() const { return depth_; }
+  /// Distinct stage gates designed for this program (at most
+  /// num_stages(); a lowered circuit has at most two, with and without
+  /// inverted outputs).
+  std::size_t num_stage_designs() const { return num_designs_; }
 
   const EvalPlan& stage_plan(std::size_t stage) const {
     return *stages_[stage].plan;
@@ -174,20 +187,32 @@ class EvalProgram {
       const kernels::Kernel& kernel) const;
 
  private:
+  /// Where one slot plane comes from: a column of the block's plane bank,
+  /// XORed with 0 or ~0 (negation; kOne is the zero column flipped).
+  struct PlaneSource {
+    std::uint32_t column = 0;
+    std::uint64_t flip = 0;
+  };
   struct Stage {
-    std::unique_ptr<sw::core::DataParallelGate> gate;  ///< owns the layout
+    std::shared_ptr<const sw::core::DataParallelGate> gate;  ///< the layout
     std::shared_ptr<const EvalPlan> plan;
+    std::vector<PlaneSource> sources;  ///< one per plan slot
   };
 
-  /// Run words [begin, end) through every stage; stage_bits must hold
-  /// num_stages() * (end - begin) * num_channels() bytes and receives
-  /// stage s's outputs at [s * (end - begin) * num_channels(), ...) in
-  /// block-local row-major order.
-  void eval_range(const kernels::Kernel& kernel,
-                  std::span<const std::uint8_t> bits, std::size_t begin,
-                  std::size_t end, std::vector<std::uint8_t>& slot_scratch,
-                  std::vector<std::uint8_t>& stage_bits,
-                  StageTimings* timings) const;
+  /// Run the words of plane groups [g_begin, g_end) through every stage.
+  /// `bank` holds bank_columns() x (g_end - g_begin) planes, column-major:
+  /// the primary columns (packed here), then each stage's channel planes,
+  /// then the zero column. `slot_planes` is the gather scratch.
+  void eval_groups(const kernels::Kernel& kernel,
+                   std::span<const std::uint8_t> bits, std::size_t num_words,
+                   std::size_t g_begin, std::size_t g_end,
+                   std::vector<std::uint64_t>& bank,
+                   std::vector<std::uint64_t>& slot_planes,
+                   StageTimings* timings) const;
+
+  std::size_t bank_columns() const {
+    return num_primary_slots() + spec_.num_stages() * num_channels() + 1;
+  }
 
   std::vector<std::uint8_t> evaluate_impl(std::size_t num_words,
                                           std::span<const std::uint8_t> bits,
@@ -199,6 +224,7 @@ class EvalProgram {
   std::vector<Stage> stages_;
   std::size_t depth_ = 0;
   std::size_t max_slots_ = 0;
+  std::size_t num_designs_ = 0;
   mutable sw::util::ThreadPool pool_;
 };
 

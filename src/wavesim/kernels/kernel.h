@@ -1,7 +1,10 @@
 // Runtime-dispatched evaluation kernels over SoA EvalPlans.
 //
-// A kernel decodes a contiguous range of packed input words against a
-// frozen EvalPlan. Four entry points per kernel:
+// A kernel decodes input words against a frozen EvalPlan. Five entry
+// points per kernel, in two input representations:
+//
+// Byte matrices (the single-layout path, BatchEvaluator): a contiguous
+// range of row-major packed words, one byte per input slot.
 //
 //   * eval_bits — the packed fast path: for each word and detector it
 //     accumulates the bit-selected phasor real parts in double and
@@ -20,6 +23,25 @@
 //     phase/amplitude/margin via decide_phase, writing rows of
 //     num_words x plan.num_detectors() ChannelResults. Always double:
 //     phase and amplitude are analog readouts, not thresholded bits.
+//
+// Bit planes (the compiled-cascade path, EvalProgram): words travel in
+// groups of kPlaneWords = 64, and one std::uint64_t per input slot (or
+// output channel) per group holds the whole group's bits — bit l of a
+// plane is word 64 g + l's bit. This is the representation the SIMD
+// kernels compute internally anyway (per-slot lane masks in, per-channel
+// verdict masks out), so a cascade stage's outputs feed the next stage's
+// inputs without a byte round trip, and a negated or constant source is
+// one word-wide XOR.
+//
+//   * eval_planes — the ONE plane entry: decodes num_groups whole groups
+//     over the plan's f32 run [0, plan.num_f32_detectors()) and then its
+//     f64 run [plan.num_f32_detectors(), plan.num_detectors()), either of
+//     which may be empty. With no precision dispatch at the call site it
+//     decodes exactly like eval_bits on an f64 plan, eval_bits_f32 on a
+//     fully-proved plan and eval_bits_mixed on a block plan. Lane widths
+//     (4/8/16) divide 64, so there is no scalar tail: every lane of every
+//     group is decoded, and lanes past the caller's last word decode
+//     whatever the input planes hold there — callers drop them on unpack.
 //
 // Three implementations exist, a ladder of identical semantics at
 // increasing width: a portable scalar reference, an AVX2 kernel (four
@@ -55,6 +77,9 @@ class EvalPlan;
 
 namespace kernels {
 
+/// Words per bit plane: bit l of a plane is word l of its 64-word group.
+inline constexpr std::size_t kPlaneWords = 64;
+
 struct Kernel {
   const char* name;
   /// Decode words [begin, end): reads rows [begin, end) of the row-major
@@ -77,6 +102,17 @@ struct Kernel {
   void (*eval_bits_mixed)(const EvalPlan& plan, const std::uint8_t* bits,
                           std::size_t begin, std::size_t end,
                           std::uint8_t* out);
+  /// Bit-plane decode of `num_groups` 64-word groups. `in` is slot-major:
+  /// in[s * num_groups + g] is input slot s's plane for group g (bit l =
+  /// word 64 g + l's bit at that slot). Writes every channel plane of
+  /// `out`, channel-major: out[c * num_groups + g], bit l = that word's
+  /// decoded bit for channel c. Detectors run in plan order — the f32 run
+  /// over the plan's float mirrors, then the f64 run over the double
+  /// arrays — each writing its channel's plane whole. A channel without a
+  /// detector comes out 0 (like the zeroed rows the byte entries' callers
+  /// pass), and a channel two detectors write keeps the later one's bits.
+  void (*eval_planes)(const EvalPlan& plan, const std::uint64_t* in,
+                      std::size_t num_groups, std::uint64_t* out);
   /// Full ChannelResult decode of words [begin, end): writes rows
   /// [begin, end) of the row-major num_words x plan.num_detectors() result
   /// matrix `out`, element plan.detector_results()[d] of a row carrying

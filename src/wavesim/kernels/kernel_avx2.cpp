@@ -22,6 +22,11 @@
 // without a per-detector precision branch; their odd-word tails fall to
 // the scalar range helpers, which decode the same sub-range only.
 //
+// The plane entry builds its lane masks straight from the 64-word slot
+// planes: a broadcast plane shifted left by a per-lane count (vpsllvq /
+// vpsllvd) lands lane l's bit in that lane's sign bit, which is all the
+// blends read — one shift per lane group instead of a byte transpose.
+//
 // This translation unit is compiled with -mavx2 (CMake adds the flag only
 // for this file when the compiler supports it and the target is x86); every
 // other TU stays portable, and nothing in this TU executes — not even the
@@ -34,7 +39,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <complex>
+#include <cstdint>
 
 #include "core/detector.h"
 #include "core/encoding.h"
@@ -301,6 +308,112 @@ void eval_bits_mixed_avx2(const EvalPlan& plan, const std::uint8_t* bits,
   }
 }
 
+/// Per-lane shift counts that move bit 4k + l of a broadcast 64-bit plane
+/// to 64-bit lane l's sign bit (f64 run, lane group k of eight), and bit
+/// 8k + l of a broadcast 32-bit half-plane to 32-bit lane l's sign bit
+/// (f32 run, lane group k of four).
+alignas(32) constexpr std::int64_t kPlaneShift64[8][4] = {
+    {63, 62, 61, 60}, {59, 58, 57, 56}, {55, 54, 53, 52}, {51, 50, 49, 48},
+    {47, 46, 45, 44}, {43, 42, 41, 40}, {39, 38, 37, 36}, {35, 34, 33, 32}};
+alignas(32) constexpr std::int32_t kPlaneShift32[4][8] = {
+    {31, 30, 29, 28, 27, 26, 25, 24},
+    {23, 22, 21, 20, 19, 18, 17, 16},
+    {15, 14, 13, 12, 11, 10, 9, 8},
+    {7, 6, 5, 4, 3, 2, 1, 0}};
+
+inline __m256i load_shift(const void* counts) {
+  return _mm256_load_si256(static_cast<const __m256i*>(counts));
+}
+
+/// f32 run of eval_planes: eight words per __m256, a plane's 64 words as
+/// eight accumulators (four per 32-bit half), each summed in plan order.
+void eval_planes_f32_avx2(const EvalPlan& plan, const std::uint64_t* in,
+                          std::size_t num_groups, std::uint64_t* out,
+                          std::size_t d_begin, std::size_t d_end) {
+  const auto offsets = plan.detector_offsets();
+  const auto det_channel = plan.detector_channels();
+  const auto re0 = plan.re0_f32();
+  const auto re1 = plan.re1_f32();
+  const auto slots = plan.slots();
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    for (std::size_t d = d_begin; d < d_end; ++d) {
+      __m256 acc[8];
+      for (auto& a : acc) a = _mm256_setzero_ps();
+      for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
+        const std::uint64_t plane = in[slots[i] * num_groups + g];
+        const __m256 zero = _mm256_broadcast_ss(&re0[i]);
+        const __m256 one = _mm256_broadcast_ss(&re1[i]);
+        for (std::size_t half = 0; half < 2; ++half) {
+          const auto half_plane =
+              static_cast<std::uint32_t>(plane >> (32 * half));
+          const __m256i bits =
+              _mm256_set1_epi32(static_cast<int>(half_plane));
+          for (std::size_t k = 0; k < 4; ++k) {
+            const __m256 mask = _mm256_castsi256_ps(
+                _mm256_sllv_epi32(bits, load_shift(kPlaneShift32[k])));
+            acc[4 * half + k] = _mm256_add_ps(
+                acc[4 * half + k], _mm256_blendv_ps(zero, one, mask));
+          }
+        }
+      }
+      std::uint64_t verdicts = 0;
+      for (std::size_t k = 0; k < 8; ++k) {
+        const int neg = _mm256_movemask_ps(
+            _mm256_cmp_ps(acc[k], _mm256_setzero_ps(), _CMP_LT_OQ));
+        verdicts |= static_cast<std::uint64_t>(neg) << (8 * k);
+      }
+      out[det_channel[d] * num_groups + g] = verdicts;
+    }
+  }
+}
+
+/// f64 run of eval_planes: four words per __m256d, a plane's 64 words as
+/// sixteen lane groups taken eight at a time (one 32-bit half-plane per
+/// pass) so the accumulators stay in registers.
+void eval_planes_f64_avx2(const EvalPlan& plan, const std::uint64_t* in,
+                          std::size_t num_groups, std::uint64_t* out,
+                          std::size_t d_begin, std::size_t d_end) {
+  const auto offsets = plan.detector_offsets();
+  const auto det_channel = plan.detector_channels();
+  const auto re0 = plan.re0();
+  const auto re1 = plan.re1();
+  const auto slots = plan.slots();
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    for (std::size_t d = d_begin; d < d_end; ++d) {
+      std::uint64_t verdicts = 0;
+      for (std::size_t half = 0; half < 2; ++half) {
+        __m256d acc[8];
+        for (auto& a : acc) a = _mm256_setzero_pd();
+        for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
+          const __m256i bits = _mm256_set1_epi64x(static_cast<long long>(
+              in[slots[i] * num_groups + g] >> (32 * half)));
+          const __m256d zero = _mm256_broadcast_sd(&re0[i]);
+          const __m256d one = _mm256_broadcast_sd(&re1[i]);
+          for (std::size_t k = 0; k < 8; ++k) {
+            const __m256d mask = _mm256_castsi256_pd(
+                _mm256_sllv_epi64(bits, load_shift(kPlaneShift64[k])));
+            acc[k] = _mm256_add_pd(acc[k], _mm256_blendv_pd(zero, one, mask));
+          }
+        }
+        for (std::size_t k = 0; k < 8; ++k) {
+          const int neg = _mm256_movemask_pd(
+              _mm256_cmp_pd(acc[k], _mm256_setzero_pd(), _CMP_LT_OQ));
+          verdicts |= static_cast<std::uint64_t>(neg) << (32 * half + 4 * k);
+        }
+      }
+      out[det_channel[d] * num_groups + g] = verdicts;
+    }
+  }
+}
+
+void eval_planes_avx2(const EvalPlan& plan, const std::uint64_t* in,
+                      std::size_t num_groups, std::uint64_t* out) {
+  const std::size_t kf = plan.num_f32_detectors();
+  std::fill_n(out, plan.num_channels() * num_groups, std::uint64_t{0});
+  eval_planes_f32_avx2(plan, in, num_groups, out, 0, kf);
+  eval_planes_f64_avx2(plan, in, num_groups, out, kf, plan.num_detectors());
+}
+
 void eval_channels_avx2(const EvalPlan& plan, const std::uint8_t* bits,
                         std::size_t begin, std::size_t end,
                         sw::core::ChannelResult* out) {
@@ -386,8 +499,12 @@ const Kernel* detail::avx2_kernel_candidate() {
   // is compiled with -mavx2, so any non-trivial code in it could be
   // VEX-encoded and fault on a pre-AVX2 host. The runtime support check
   // lives in dispatch.cpp (a portable TU); this is a bare constant return.
-  static constexpr Kernel kernel{"avx2", &eval_bits_avx2, &eval_bits_f32_avx2,
-                                 &eval_bits_mixed_avx2, &eval_channels_avx2};
+  static constexpr Kernel kernel{"avx2",
+                                 &eval_bits_avx2,
+                                 &eval_bits_f32_avx2,
+                                 &eval_bits_mixed_avx2,
+                                 &eval_planes_avx2,
+                                 &eval_channels_avx2};
   return &kernel;
 }
 

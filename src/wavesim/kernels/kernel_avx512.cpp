@@ -16,6 +16,11 @@
 // over the proved run, f64 pass over the rescue run); odd-word tails fall
 // to the scalar range helpers.
 //
+// The plane entry needs no mask build at all: a 64-word slot plane already
+// IS eight __mmask8s (or four __mmask16s) side by side, so lane group k's
+// select mask is just byte (or u16) k of the plane, and the eight (four)
+// verdict masks of a detector concatenate back into its channel's plane.
+//
 // This translation unit is compiled with -mavx512f -mavx512bw (CMake adds
 // the flags only for this file when the compiler supports them and the
 // target is x86); nothing in it executes unless the CPUID check in
@@ -32,6 +37,7 @@
 
 #include <algorithm>
 #include <complex>
+#include <span>
 #include <vector>
 
 #include "core/detector.h"
@@ -367,6 +373,89 @@ void eval_bits_mixed_avx512(const EvalPlan& plan, const std::uint8_t* bits,
   }
 }
 
+/// One precision run of eval_planes: per 64-word group and detector, all
+/// 64 lanes at once — kGroups independent accumulators of kLanes words
+/// each, so the adds of one contribution overlap instead of chaining.
+/// Lane l of accumulator k is word kLanes * k + l, summed in plan order.
+template <typename T>
+struct PlaneRun;
+
+template <>
+struct PlaneRun<double> {
+  static constexpr std::size_t kLanes = 8;
+  using Vec = __m512d;
+  using Mask = __mmask8;
+  static Vec zero() { return _mm512_setzero_pd(); }
+  static Vec set1(double x) { return _mm512_set1_pd(x); }
+  static Vec add_blend(Vec acc, Mask m, Vec c0, Vec c1) {
+    return _mm512_add_pd(acc, _mm512_mask_blend_pd(m, c0, c1));
+  }
+  static Mask negative(Vec acc) {
+    return _mm512_cmp_pd_mask(acc, _mm512_setzero_pd(), _CMP_LT_OQ);
+  }
+};
+
+template <>
+struct PlaneRun<float> {
+  static constexpr std::size_t kLanes = 16;
+  using Vec = __m512;
+  using Mask = __mmask16;
+  static Vec zero() { return _mm512_setzero_ps(); }
+  static Vec set1(float x) { return _mm512_set1_ps(x); }
+  static Vec add_blend(Vec acc, Mask m, Vec c0, Vec c1) {
+    return _mm512_add_ps(acc, _mm512_mask_blend_ps(m, c0, c1));
+  }
+  static Mask negative(Vec acc) {
+    return _mm512_cmp_ps_mask(acc, _mm512_setzero_ps(), _CMP_LT_OQ);
+  }
+};
+
+template <typename T>
+void eval_planes_avx512_run(const EvalPlan& plan, const std::uint64_t* in,
+                            std::size_t num_groups, std::uint64_t* out,
+                            std::size_t d_begin, std::size_t d_end,
+                            std::span<const T> re0, std::span<const T> re1) {
+  using Run = PlaneRun<T>;
+  constexpr std::size_t kLanes = Run::kLanes;
+  constexpr std::size_t kGroups = kPlaneWords / kLanes;
+  const auto offsets = plan.detector_offsets();
+  const auto det_channel = plan.detector_channels();
+  const auto slots = plan.slots();
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    for (std::size_t d = d_begin; d < d_end; ++d) {
+      typename Run::Vec acc[kGroups];
+      for (std::size_t k = 0; k < kGroups; ++k) acc[k] = Run::zero();
+      for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
+        const std::uint64_t plane = in[slots[i] * num_groups + g];
+        const auto c0 = Run::set1(re0[i]);
+        const auto c1 = Run::set1(re1[i]);
+        for (std::size_t k = 0; k < kGroups; ++k) {
+          acc[k] = Run::add_blend(
+              acc[k], static_cast<typename Run::Mask>(plane >> (kLanes * k)),
+              c0, c1);
+        }
+      }
+      std::uint64_t verdicts = 0;
+      for (std::size_t k = 0; k < kGroups; ++k) {
+        verdicts |= static_cast<std::uint64_t>(Run::negative(acc[k]))
+                    << (kLanes * k);
+      }
+      out[det_channel[d] * num_groups + g] = verdicts;
+    }
+  }
+}
+
+void eval_planes_avx512(const EvalPlan& plan, const std::uint64_t* in,
+                        std::size_t num_groups, std::uint64_t* out) {
+  const std::size_t kf = plan.num_f32_detectors();
+  std::fill_n(out, plan.num_channels() * num_groups, std::uint64_t{0});
+  eval_planes_avx512_run<float>(plan, in, num_groups, out, 0, kf,
+                                plan.re0_f32(), plan.re1_f32());
+  eval_planes_avx512_run<double>(plan, in, num_groups, out, kf,
+                                 plan.num_detectors(), plan.re0(),
+                                 plan.re1());
+}
+
 void eval_channels_avx512(const EvalPlan& plan, const std::uint8_t* bits,
                           std::size_t begin, std::size_t end,
                           sw::core::ChannelResult* out) {
@@ -437,9 +526,11 @@ const Kernel* detail::avx512_kernel_candidate() {
   // so anything non-trivial in it could fault on an older host. The
   // runtime support check lives in dispatch.cpp; this is a bare constant
   // return.
-  static constexpr Kernel kernel{"avx512", &eval_bits_avx512,
+  static constexpr Kernel kernel{"avx512",
+                                 &eval_bits_avx512,
                                  &eval_bits_f32_avx512,
                                  &eval_bits_mixed_avx512,
+                                 &eval_planes_avx512,
                                  &eval_channels_avx512};
   return &kernel;
 }

@@ -12,13 +12,19 @@
 // because phase and amplitude need it, then decodes via decide_phase
 // exactly like the scalar gate path.
 //
+// eval_planes is the same per-word decode over bit planes: word l of a
+// group reads bit l of each slot's plane, and its verdict becomes bit l of
+// the channel's output plane.
+//
 // The bit loops are defined as detector-range helpers (exported through
 // kernels::detail) because the block-f32 path needs them twice per word
 // range — once per precision run — and the vector kernels need them for
 // odd-word tails that must not re-decode the other run's detectors.
 #include "wavesim/kernels/kernel.h"
 
+#include <algorithm>
 #include <complex>
+#include <span>
 
 #include "core/detector.h"
 #include "core/encoding.h"
@@ -108,6 +114,50 @@ void eval_bits_mixed_scalar(const EvalPlan& plan, const std::uint8_t* bits,
                                  plan.num_detectors());
 }
 
+/// One precision run of eval_planes: detectors [d_begin, d_end) over the
+/// constant arrays re0/re1 (float mirrors or doubles), accumulated in T.
+template <typename T>
+void eval_planes_scalar_run(const EvalPlan& plan, const std::uint64_t* in,
+                            std::size_t num_groups, std::uint64_t* out,
+                            std::size_t d_begin, std::size_t d_end,
+                            std::span<const T> re0, std::span<const T> re1) {
+  const auto offsets = plan.detector_offsets();
+  const auto det_channel = plan.detector_channels();
+  const auto slots = plan.slots();
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    for (std::size_t d = d_begin; d < d_end; ++d) {
+      std::uint64_t verdicts = 0;
+      // Eight words at a time, contribution-outer: eight independent sums
+      // (each still added in plan order) in registers, not one latency
+      // chain per word.
+      for (std::size_t l0 = 0; l0 < kPlaneWords; l0 += 8) {
+        T acc[8] = {};
+        for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
+          const std::uint64_t bits = in[slots[i] * num_groups + g] >> l0;
+          // An indexed load, not a branch: random bits would mispredict.
+          const T pick[2] = {re0[i], re1[i]};
+          for (std::size_t k = 0; k < 8; ++k) acc[k] += pick[(bits >> k) & 1];
+        }
+        for (std::size_t k = 0; k < 8; ++k) {
+          verdicts |= static_cast<std::uint64_t>(acc[k] < 0) << (l0 + k);
+        }
+      }
+      out[det_channel[d] * num_groups + g] = verdicts;
+    }
+  }
+}
+
+void eval_planes_scalar(const EvalPlan& plan, const std::uint64_t* in,
+                        std::size_t num_groups, std::uint64_t* out) {
+  const std::size_t kf = plan.num_f32_detectors();
+  std::fill_n(out, plan.num_channels() * num_groups, std::uint64_t{0});
+  eval_planes_scalar_run<float>(plan, in, num_groups, out, 0, kf,
+                                plan.re0_f32(), plan.re1_f32());
+  eval_planes_scalar_run<double>(plan, in, num_groups, out, kf,
+                                 plan.num_detectors(), plan.re0(),
+                                 plan.re1());
+}
+
 void eval_channels_scalar(const EvalPlan& plan, const std::uint8_t* bits,
                           std::size_t begin, std::size_t end,
                           sw::core::ChannelResult* out) {
@@ -147,8 +197,11 @@ void eval_channels_scalar(const EvalPlan& plan, const std::uint8_t* bits,
 }  // namespace
 
 const Kernel& scalar_kernel() {
-  static constexpr Kernel kernel{"scalar", &eval_bits_scalar,
-                                 &eval_bits_f32_scalar, &eval_bits_mixed_scalar,
+  static constexpr Kernel kernel{"scalar",
+                                 &eval_bits_scalar,
+                                 &eval_bits_f32_scalar,
+                                 &eval_bits_mixed_scalar,
+                                 &eval_planes_scalar,
                                  &eval_channels_scalar};
   return kernel;
 }

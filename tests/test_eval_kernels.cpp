@@ -590,6 +590,240 @@ TEST(KernelEquivalence, ThreadedChunkingDoesNotChangeDecodes) {
   }
 }
 
+// ----------------------------------------------------------------- planes --
+
+using sw::wavesim::Precision;
+using sw::wavesim::kernels::kPlaneWords;
+
+/// Every kernel this build and host can run, scalar first.
+std::vector<const Kernel*> available_kernels() {
+  std::vector<const Kernel*> kernels{&scalar_kernel()};
+  if (const Kernel* avx2 = avx2_kernel()) kernels.push_back(avx2);
+  if (const Kernel* avx512 = avx512_kernel()) kernels.push_back(avx512);
+  return kernels;
+}
+
+std::size_t plane_groups(std::size_t num_words) {
+  return (num_words + kPlaneWords - 1) / kPlaneWords;
+}
+
+/// Slot-major planes of a row-major num_words x cols byte matrix (the
+/// eval_planes input layout). Lanes past num_words are filled with random
+/// garbage, which must never reach a decoded word.
+std::vector<std::uint64_t> to_planes(const std::vector<std::uint8_t>& bits,
+                                     std::size_t num_words, std::size_t cols,
+                                     std::mt19937_64& garbage) {
+  const std::size_t groups = plane_groups(num_words);
+  std::vector<std::uint64_t> planes(cols * groups);
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t g = 0; g < groups; ++g) {
+      std::uint64_t plane = garbage();
+      for (std::size_t l = 0; l < kPlaneWords; ++l) {
+        const std::size_t w = g * kPlaneWords + l;
+        if (w >= num_words) break;
+        const std::uint64_t bit = bits[w * cols + c] != 0 ? 1 : 0;
+        plane = (plane & ~(std::uint64_t{1} << l)) | (bit << l);
+      }
+      planes[c * groups + g] = plane;
+    }
+  }
+  return planes;
+}
+
+/// Rows [0, num_words) of channel-major output planes as a byte matrix.
+std::vector<std::uint8_t> from_planes(const std::vector<std::uint64_t>& planes,
+                                      std::size_t num_words,
+                                      std::size_t cols) {
+  const std::size_t groups = plane_groups(num_words);
+  std::vector<std::uint8_t> bits(num_words * cols);
+  for (std::size_t w = 0; w < num_words; ++w) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      bits[w * cols + c] = static_cast<std::uint8_t>(
+          (planes[c * groups + w / kPlaneWords] >> (w % kPlaneWords)) & 1);
+    }
+  }
+  return bits;
+}
+
+/// The byte entry a plan's precision verdicts select.
+std::vector<std::uint8_t> byte_decode(const EvalPlan& plan,
+                                      const Kernel& kernel,
+                                      const std::vector<std::uint8_t>& bits,
+                                      std::size_t num_words) {
+  std::vector<std::uint8_t> out(num_words * plan.num_channels());
+  if (plan.has_f32()) {
+    kernel.eval_bits_f32(plan, bits.data(), 0, num_words, out.data());
+  } else if (plan.is_block()) {
+    kernel.eval_bits_mixed(plan, bits.data(), 0, num_words, out.data());
+  } else {
+    kernel.eval_bits(plan, bits.data(), 0, num_words, out.data());
+  }
+  return out;
+}
+
+/// Every kernel's plane entry against every kernel's byte entry on random
+/// (non-canonical) bytes, with two different garbage fills of the unused
+/// lanes of the last plane.
+void expect_planes_match_bytes(const EvalPlan& plan, std::size_t num_words,
+                               unsigned seed, const std::string& what) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> byte(0, 3);  // 2, 3: nonzero, not 1
+  std::vector<std::uint8_t> bits(num_words * plan.slot_count());
+  for (auto& b : bits) b = static_cast<std::uint8_t>(byte(rng));
+  const auto want = byte_decode(plan, scalar_kernel(), bits, num_words);
+  const std::size_t groups = plane_groups(num_words);
+  for (const Kernel* k : available_kernels()) {
+    ASSERT_EQ(byte_decode(plan, *k, bits, num_words), want)
+        << what << ": byte entry, kernel " << k->name;
+    for (const std::uint64_t fill : {std::uint64_t{seed}, ~std::uint64_t{0}}) {
+      std::mt19937_64 garbage(fill);
+      const auto in = to_planes(bits, num_words, plan.slot_count(), garbage);
+      // Pre-poisoned output: the entry must write every channel plane.
+      std::vector<std::uint64_t> out(plan.num_channels() * groups,
+                                     0xA5A5A5A5A5A5A5A5ull);
+      k->eval_planes(plan, in.data(), groups, out.data());
+      ASSERT_EQ(from_planes(out, num_words, plan.num_channels()), want)
+          << what << ": plane entry, kernel " << k->name << ", "
+          << num_words << " words, garbage " << fill;
+    }
+  }
+}
+
+/// The precision-fixture trick: rescale one channel's third source so a
+/// bit assignment nearly cancels at its detector, which the f32 margin
+/// proof must reject (a rescue detector in an otherwise f32 plan).
+GateLayout thin_channel(const KernelFixture& fix, GateLayout layout,
+                        std::size_t channel) {
+  const DataParallelGate gate(layout, fix.engine);
+  const EvalPlan probe(gate, sw::wavesim::kDefaultFreqTol,
+                       Precision::kFloat64);
+  const auto offsets = probe.detector_offsets();
+  for (std::size_t d = 0; d < probe.num_detectors(); ++d) {
+    if (probe.detector_channels()[d] != channel) continue;
+    if (offsets[d + 1] - offsets[d] != 3) break;
+    const std::size_t i = offsets[d];
+    const double t =
+        (probe.re0()[i] + probe.re0()[i + 1]) / probe.re0()[i + 2];
+    const std::uint32_t input = probe.inputs()[i + 2];
+    for (auto& src : layout.sources) {
+      if (src.channel == channel && src.input == input) src.amplitude *= t;
+    }
+    return layout;
+  }
+  throw sw::util::Error("thin-channel fixture expects 3 contributions");
+}
+
+TEST(PlaneKernel, DecodesLikeTheByteEntriesOnRandomLayouts) {
+  // Random shapes, drive amplitudes and thinned channels: f32 requests
+  // come out pure f32, block-f32 or fully rescued.
+  const KernelFixture fix;
+  std::mt19937 rng(2024);
+  std::uniform_int_distribution<std::size_t> inputs(1, 5);
+  std::uniform_int_distribution<std::size_t> channels(1, 8);
+  std::uniform_real_distribution<double> scale(0.2, 1.8);
+  std::uniform_int_distribution<std::size_t> words(1, 300);
+  std::size_t pure_f32 = 0, block = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    GateSpec spec;
+    spec.num_inputs = inputs(rng);
+    spec.frequencies = channel_frequencies(channels(rng));
+    GateLayout layout = fix.designer.design(spec);
+    if (spec.num_inputs == 3 && trial % 2 == 0) {
+      layout = thin_channel(fix, std::move(layout),
+                            rng() % spec.frequencies.size());
+    } else {
+      for (auto& src : layout.sources) src.amplitude *= scale(rng);
+    }
+    const DataParallelGate gate(layout, fix.engine);
+    for (const Precision p : {Precision::kFloat64, Precision::kFloat32}) {
+      const EvalPlan plan(gate, sw::wavesim::kDefaultFreqTol, p);
+      pure_f32 += plan.has_f32() ? 1 : 0;
+      block += plan.is_block() ? 1 : 0;
+      expect_planes_match_bytes(
+          plan, words(rng), 100 + trial,
+          "trial " + std::to_string(trial) + " " + plan.precision_label());
+    }
+  }
+  EXPECT_GT(pure_f32, 0u);
+  EXPECT_GT(block, 0u);
+}
+
+TEST(PlaneKernel, ThinMarginAndBlockPlansDecodeLikeTheByteEntries) {
+  const KernelFixture fix;
+  GateSpec spec;
+  spec.num_inputs = 3;
+  spec.frequencies = channel_frequencies(8);
+  const GateLayout paper = fix.designer.design(spec);
+  GateSpec one = spec;
+  one.frequencies = channel_frequencies(1);
+
+  // One thin channel of 8: a 7/8 block plan. Every channel thin: the f32
+  // request degenerates to the double plan. A 1-channel thin layout: the
+  // all-or-nothing fallback.
+  GateLayout all_thin = paper;
+  for (std::size_t ch = 0; ch < 8; ++ch) {
+    all_thin = thin_channel(fix, std::move(all_thin), ch);
+  }
+  const GateLayout layouts[] = {paper, thin_channel(fix, paper, 3), all_thin,
+                                thin_channel(fix, fix.designer.design(one),
+                                             0)};
+  unsigned seed = 7;
+  bool saw_block = false;
+  for (const GateLayout& layout : layouts) {
+    const DataParallelGate gate(layout, fix.engine);
+    for (const Precision p : {Precision::kFloat64, Precision::kFloat32}) {
+      const EvalPlan plan(gate, sw::wavesim::kDefaultFreqTol, p);
+      saw_block = saw_block || plan.is_block();
+      for (const std::size_t words : {1ul, 15ul, 64ul, 65ul, 200ul}) {
+        expect_planes_match_bytes(plan, words, ++seed, plan.precision_label());
+      }
+    }
+  }
+  EXPECT_TRUE(saw_block) << "fixture no longer yields a block-f32 plan";
+}
+
+TEST(PlaneKernel, ChannelWithoutADetectorComesOutZero) {
+  // A hand-made layout whose second detector reads channel 0 too: channel
+  // 0 is written twice (the later detector wins) and channel 1 by nobody.
+  // The plane entry must leave channel 1's plane 0, like the zeroed rows
+  // the byte entries' callers pass, whatever the output buffer held.
+  const KernelFixture fix;
+  GateSpec spec;
+  spec.num_inputs = 3;
+  spec.frequencies = channel_frequencies(4);
+  GateLayout layout = fix.designer.design(spec);
+  layout.detectors[1].channel = 0;
+  const DataParallelGate gate(layout, fix.engine);
+  for (const Precision p : {Precision::kFloat64, Precision::kFloat32}) {
+    const EvalPlan plan(gate, sw::wavesim::kDefaultFreqTol, p);
+    expect_planes_match_bytes(plan, 130, 11, plan.precision_label());
+  }
+}
+
+TEST(PlaneKernel, ExhaustiveSweepDecodesLikeTheGatePath) {
+  // The full 2^16-word AND sweep at n = 8, through planes.
+  const KernelFixture fix;
+  const ParallelLogicGate logic(BooleanOp::kAnd, channel_frequencies(8),
+                                fix.designer, fix.engine);
+  const PackedSweep sweep = exhaustive_sweep(logic, 8);
+  for (const Precision p : {Precision::kFloat64, Precision::kFloat32}) {
+    const EvalPlan plan(logic.gate(), sw::wavesim::kDefaultFreqTol, p);
+    const BatchEvaluator evaluator(logic.gate(), {.precision = p});
+    const auto want = evaluator.evaluate_bits(sweep.num_words, sweep.bits,
+                                              scalar_kernel());
+    const std::size_t groups = plane_groups(sweep.num_words);
+    std::mt19937_64 garbage(1);
+    const auto in =
+        to_planes(sweep.bits, sweep.num_words, plan.slot_count(), garbage);
+    for (const Kernel* k : available_kernels()) {
+      std::vector<std::uint64_t> out(plan.num_channels() * groups);
+      k->eval_planes(plan, in.data(), groups, out.data());
+      EXPECT_EQ(from_planes(out, sweep.num_words, 8), want)
+          << "kernel " << k->name << " " << plan.precision_label();
+    }
+  }
+}
+
 // -------------------------------------------------------------- validation --
 
 TEST(EvaluateBitsValidation, RejectsShapeMismatch) {

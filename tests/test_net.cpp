@@ -293,23 +293,51 @@ TEST(EvalServer, ServesBatchesBitExactWithMetrics) {
   EXPECT_NE(text.find("sw_net_connections_accepted 1"), std::string::npos);
   // The kernel/precision identity gauge and the detector-granularity f32
   // share must scrape: the kernel label is the active kernel's name and
-  // the ratio is a bare number (0 here — no f32 builds in this fixture).
+  // the ratio is a bare number (0 here with no f32 builds; 1 when
+  // SW_EVAL_PRECISION=f32 makes every build f32 and the paper layout
+  // proves every detector).
   EXPECT_NE(
       text.find("sw_serve_kernel_info{kernel=\"" +
                 std::string(sw::wavesim::active_kernel_name()) + "\""),
       std::string::npos)
       << text;
-  EXPECT_NE(text.find("sw_serve_f32_detector_ratio 0"), std::string::npos)
+  const bool f32 =
+      sw::wavesim::active_precision() == sw::wavesim::Precision::kFloat32;
+  EXPECT_NE(text.find(std::string("sw_serve_f32_detector_ratio ") +
+                      (f32 ? "1\n" : "0\n")),
+            std::string::npos)
       << text;
   EXPECT_NE(text.find("sw_serve_plan_cache_block_plans 0"),
             std::string::npos)
       << text;
+  // Program-cache counters render even before any program was built.
+  for (const char* line : {"sw_serve_plan_cache_program_builds 0",
+                           "sw_serve_plan_cache_program_stages 0",
+                           "sw_serve_plan_cache_program_stage_designs 0",
+                           "sw_serve_plan_cache_max_program_depth 0"}) {
+    EXPECT_NE(text.find(line), std::string::npos) << line << "\n" << text;
+  }
 
   const auto counters = fx.server.counters();
   EXPECT_EQ(counters.frames_received, 3u);
   EXPECT_EQ(counters.responses_sent, 3u);
   EXPECT_EQ(counters.metrics_requests, 1u);
   EXPECT_EQ(counters.errors_sent, 0u);
+}
+
+TEST(EvalServer, ProgramCacheCountersRenderTheirValues) {
+  sw::serve::ServiceStats stats;
+  stats.cache.program_builds = 3;
+  stats.cache.program_stages = 22;
+  stats.cache.program_stage_designs = 5;
+  stats.cache.max_program_depth = 6;
+  const std::string text = sw::net::render_service_metrics(stats);
+  for (const char* line : {"sw_serve_plan_cache_program_builds 3\n",
+                           "sw_serve_plan_cache_program_stages 22\n",
+                           "sw_serve_plan_cache_program_stage_designs 5\n",
+                           "sw_serve_plan_cache_max_program_depth 6\n"}) {
+    EXPECT_NE(text.find(line), std::string::npos) << line << text;
+  }
 }
 
 TEST(EvalServer, MetricsHistogramsAndByteCountersScrapeMonotonically) {

@@ -906,6 +906,10 @@ TEST(PlanCache, ProgramEntriesShareTheLruWithStats) {
   EXPECT_EQ(stats.program_builds, 1u);
   EXPECT_EQ(stats.program_stages, first.program->num_stages());
   EXPECT_EQ(stats.max_program_depth, first.program->depth());
+  EXPECT_EQ(stats.program_stage_designs,
+            first.program->program().num_stage_designs());
+  EXPECT_GE(stats.program_stage_designs, 1u);
+  EXPECT_LE(stats.program_stage_designs, 2u);
 }
 
 TEST(PlanCache, ProgramLookupWithoutDesignerThrows) {
