@@ -1,12 +1,12 @@
 // The one request type of the serving API.
 //
-// Historically EvaluatorService grew three submit entry points (packed
-// layout, nested-batch layout, packed async); adding multi-stage programs
-// would have doubled that. EvalRequest collapses the request shape into a
-// single value: a packed word batch bound to *either* a single gate layout
-// *or* a multi-stage ProgramSpec, plus an optional per-request precision
-// hint, consumed by EvaluatorService::submit / submit_async. The legacy
-// overloads survive as thin deprecated shims over this type.
+// EvalRequest is a packed word batch bound to *either* a designed gate
+// layout *or* a multi-stage ProgramSpec, plus an optional per-request
+// precision hint, consumed by EvaluatorService::submit / submit_async.
+// The two bindings differ only in how the service builds the cached
+// artefact (a layout becomes a one-stage program over itself, see
+// plan_cache.h); the matrix shape, the result and the evaluation path are
+// the same — a layout's primary columns are its input slots.
 #pragma once
 
 #include <cstdint>

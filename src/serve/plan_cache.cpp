@@ -9,8 +9,7 @@ namespace sw::serve {
 
 namespace {
 
-template <typename T>
-bool ready(const std::shared_future<T>& fut) {
+bool ready(const std::shared_future<PlanCache::ProgramPtr>& fut) {
   return fut.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
 }
 
@@ -30,33 +29,36 @@ PlanCache::PlanCache(const sw::wavesim::WaveEngine& engine,
       sw::wavesim::resolve_precision(evaluator_options_.precision);
 }
 
+LayoutKey PlanCache::key_of(const Target& target) const {
+  if (target.layout != nullptr) return LayoutKey::from(*target.layout);
+  SW_REQUIRE(designer_ != nullptr,
+             "plan cache was built without a designer; cannot serve programs");
+  return LayoutKey::from(*target.program);
+}
+
+sw::wavesim::Precision PlanCache::resolve(
+    std::optional<sw::wavesim::Precision> precision) const {
+  return precision ? sw::wavesim::resolve_precision(*precision)
+                   : evaluator_options_.precision;
+}
+
 std::uint64_t PlanCache::bucket_hash(const LayoutKey& key,
                                      sw::wavesim::Precision precision) {
-  // The precision bit is part of the cache key: an f32 and an f64 plan for
-  // one layout are distinct artefacts (different arrays, different margin
+  // The precision bit is part of the cache key: an f32 and an f64 entry for
+  // one target are distinct artefacts (different arrays, different margin
   // verdicts) and must never alias. Golden-ratio mixing keeps the two
-  // variants in unrelated buckets instead of chaining in one. Programs and
-  // layouts need no extra bit: their canonical bytes carry distinct format
-  // tags, so their key hashes already disagree.
+  // variants in unrelated buckets instead of chaining in one.
   return precision == sw::wavesim::Precision::kFloat32
              ? key.hash() ^ 0x9e3779b97f4a7c15ull
              : key.hash();
 }
 
-bool PlanCache::slot_ready(const Slot& slot) {
-  return slot.is_program ? ready(slot.program) : ready(slot.plan);
-}
-
 PlanCache::Slot* PlanCache::find_locked(const LayoutKey& key,
-                                        sw::wavesim::Precision precision,
-                                        bool is_program) {
+                                        sw::wavesim::Precision precision) {
   const auto bucket = slots_.find(bucket_hash(key, precision));
   if (bucket == slots_.end()) return nullptr;
   for (auto& slot : bucket->second) {
-    if (slot.precision == precision && slot.is_program == is_program &&
-        slot.key == key) {
-      return &slot;
-    }
+    if (slot.precision == precision && slot.key == key) return &slot;
   }
   return nullptr;
 }
@@ -74,7 +76,7 @@ void PlanCache::evict_for_insert_locked() {
     for (auto it = slots_.begin(); it != slots_.end(); ++it) {
       for (std::size_t i = 0; i < it->second.size(); ++i) {
         const Slot& slot = it->second[i];
-        if (!slot_ready(slot)) continue;
+        if (!ready(slot.program)) continue;
         if (!found || slot.last_used < oldest) {
           found = true;
           oldest = slot.last_used;
@@ -93,14 +95,12 @@ void PlanCache::evict_for_insert_locked() {
 }
 
 void PlanCache::erase_locked(const LayoutKey& key,
-                             sw::wavesim::Precision precision,
-                             bool is_program) {
+                             sw::wavesim::Precision precision) {
   const auto bucket = slots_.find(bucket_hash(key, precision));
   if (bucket == slots_.end()) return;
   auto& vec = bucket->second;
   for (std::size_t i = 0; i < vec.size(); ++i) {
-    if (vec[i].precision == precision && vec[i].is_program == is_program &&
-        vec[i].key == key) {
+    if (vec[i].precision == precision && vec[i].key == key) {
       vec.erase(vec.begin() + static_cast<std::ptrdiff_t>(i));
       if (vec.empty()) slots_.erase(bucket);
       --size_;
@@ -109,139 +109,65 @@ void PlanCache::erase_locked(const LayoutKey& key,
   }
 }
 
-PlanCache::PlanPtr PlanCache::try_get(const sw::core::GateLayout& layout) {
-  return try_get(layout, evaluator_options_.precision);
-}
-
-PlanCache::PlanPtr PlanCache::try_get(const sw::core::GateLayout& layout,
-                                      sw::wavesim::Precision precision) {
-  precision = sw::wavesim::resolve_precision(precision);
-  const LayoutKey key = LayoutKey::from(layout);
-  std::shared_future<PlanPtr> fut;
+PlanCache::ProgramPtr PlanCache::try_get(
+    Target target, std::optional<sw::wavesim::Precision> precision) {
+  const sw::wavesim::Precision p = resolve(precision);
+  const LayoutKey key = key_of(target);
+  std::shared_future<ProgramPtr> fut;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    Slot* slot = find_locked(key, precision, /*is_program=*/false);
-    if (slot == nullptr || !ready(slot->plan)) return nullptr;
+    Slot* slot = find_locked(key, p);
+    if (slot == nullptr || !ready(slot->program)) return nullptr;
     ++stats_.hits;
     slot->last_used = ++tick_;
-    fut = slot->plan;
+    fut = slot->program;
   }
   // A ready slot always carries a value: failed builds erase their slot
   // before publishing the exception, so they are never observable here.
   return fut.get();
 }
 
-PlanCache::ProgramPtr PlanCache::try_get_program(
-    const sw::wavesim::ProgramSpec& program) {
-  return try_get_program(program, evaluator_options_.precision);
-}
-
-PlanCache::ProgramPtr PlanCache::try_get_program(
-    const sw::wavesim::ProgramSpec& program,
-    sw::wavesim::Precision precision) {
-  SW_REQUIRE(designer_ != nullptr,
-             "plan cache was built without a designer; cannot serve programs");
-  precision = sw::wavesim::resolve_precision(precision);
-  const LayoutKey key = LayoutKey::from(program);
-  std::shared_future<ProgramPtr> fut;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Slot* slot = find_locked(key, precision, /*is_program=*/true);
-    if (slot == nullptr || !ready(slot->program)) return nullptr;
-    ++stats_.hits;
-    slot->last_used = ++tick_;
-    fut = slot->program;
+void PlanCache::count_build_locked(const Target& target,
+                                   const sw::wavesim::EvalProgram& built,
+                                   sw::wavesim::Precision precision) {
+  if (target.program != nullptr) {
+    ++stats_.program_builds;
+    stats_.program_stages += built.num_stages();
+    stats_.program_stage_designs += built.num_stage_designs();
+    if (built.depth() > stats_.max_program_depth) {
+      stats_.max_program_depth = built.depth();
+    }
   }
-  return fut.get();
-}
-
-PlanCache::Lookup PlanCache::get_or_build(const sw::core::GateLayout& layout) {
-  return get_or_build(layout, evaluator_options_.precision);
-}
-
-PlanCache::Lookup PlanCache::get_or_build(const sw::core::GateLayout& layout,
-                                          sw::wavesim::Precision precision) {
-  precision = sw::wavesim::resolve_precision(precision);
-  const LayoutKey key = LayoutKey::from(layout);
-  std::promise<PlanPtr> builder;
-  std::shared_future<PlanPtr> fut;
-  bool build_here = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (Slot* slot = find_locked(key, precision, /*is_program=*/false)) {
-      ++stats_.hits;
-      slot->last_used = ++tick_;
-      fut = slot->plan;
+  if (precision != sw::wavesim::Precision::kFloat32) return;
+  // Per stage plan: exactly one of the three per-build counters, plus the
+  // detector-granularity mix either way.
+  for (std::size_t s = 0; s < built.num_stages(); ++s) {
+    const auto& plan = built.stage_plan(s);
+    if (plan.has_f32()) {
+      ++stats_.f32_plans;
+    } else if (plan.is_block()) {
+      ++stats_.block_plans;
     } else {
-      ++stats_.misses;
-      evict_for_insert_locked();
-      Slot fresh;
-      fresh.key = key;
-      fresh.precision = precision;
-      fresh.plan = builder.get_future().share();
-      fresh.last_used = ++tick_;
-      fut = fresh.plan;
-      slots_[bucket_hash(key, precision)].push_back(std::move(fresh));
-      ++size_;
-      build_here = true;
+      ++stats_.f32_fallbacks;
     }
+    stats_.f32_detectors += plan.num_f32_detectors();
+    stats_.f64_rescue_detectors += plan.num_f64_rescue_detectors();
   }
-  if (build_here) {
-    try {
-      sw::wavesim::BatchOptions options = evaluator_options_;
-      options.precision = precision;
-      auto plan =
-          std::make_shared<const CachedPlan>(layout, *engine_, options);
-      if (precision == sw::wavesim::Precision::kFloat32) {
-        const auto& built = plan->plan();
-        std::lock_guard<std::mutex> lock(mutex_);
-        // Exactly one of the three per-build counters, plus the
-        // detector-granularity mix either way.
-        if (built.has_f32()) {
-          ++stats_.f32_plans;
-        } else if (built.is_block()) {
-          ++stats_.block_plans;
-        } else {
-          ++stats_.f32_fallbacks;
-        }
-        stats_.f32_detectors += built.num_f32_detectors();
-        stats_.f64_rescue_detectors += built.num_f64_rescue_detectors();
-      }
-      builder.set_value(std::move(plan));
-    } catch (...) {
-      // Drop the poisoned entry first so no new lookup can ever observe a
-      // ready-with-exception slot, then wake the waiters with the error.
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        erase_locked(key, precision, /*is_program=*/false);
-      }
-      builder.set_exception(std::current_exception());
-    }
-  }
-  return {fut.get(), !build_here};
 }
 
-PlanCache::ProgramLookup PlanCache::get_or_build_program(
-    const sw::wavesim::ProgramSpec& program) {
-  return get_or_build_program(program, evaluator_options_.precision);
-}
-
-PlanCache::ProgramLookup PlanCache::get_or_build_program(
-    const sw::wavesim::ProgramSpec& program,
-    sw::wavesim::Precision precision) {
-  SW_REQUIRE(designer_ != nullptr,
-             "plan cache was built without a designer; cannot serve programs");
+PlanCache::Lookup PlanCache::get_or_build(
+    Target target, std::optional<sw::wavesim::Precision> precision) {
+  const LayoutKey key = key_of(target);
   // Reject malformed specs before touching the cache: a spec that cannot
   // validate must not occupy a slot (its build would fail every time).
-  program.validate();
-  precision = sw::wavesim::resolve_precision(precision);
-  const LayoutKey key = LayoutKey::from(program);
+  if (target.program != nullptr) target.program->validate();
+  const sw::wavesim::Precision p = resolve(precision);
   std::promise<ProgramPtr> builder;
   std::shared_future<ProgramPtr> fut;
   bool build_here = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (Slot* slot = find_locked(key, precision, /*is_program=*/true)) {
+    if (Slot* slot = find_locked(key, p)) {
       ++stats_.hits;
       slot->last_used = ++tick_;
       fut = slot->program;
@@ -250,12 +176,11 @@ PlanCache::ProgramLookup PlanCache::get_or_build_program(
       evict_for_insert_locked();
       Slot fresh;
       fresh.key = key;
-      fresh.precision = precision;
-      fresh.is_program = true;
+      fresh.precision = p;
       fresh.program = builder.get_future().share();
       fresh.last_used = ++tick_;
       fut = fresh.program;
-      slots_[bucket_hash(key, precision)].push_back(std::move(fresh));
+      slots_[bucket_hash(key, p)].push_back(std::move(fresh));
       ++size_;
       build_here = true;
     }
@@ -263,39 +188,24 @@ PlanCache::ProgramLookup PlanCache::get_or_build_program(
   if (build_here) {
     try {
       sw::wavesim::BatchOptions options = evaluator_options_;
-      options.precision = precision;
-      auto built = std::make_shared<const CachedProgram>(program, *designer_,
-                                                         *engine_, options);
+      options.precision = p;
+      auto built =
+          target.layout != nullptr
+              ? std::make_shared<const sw::wavesim::EvalProgram>(
+                    *target.layout, *engine_, options)
+              : std::make_shared<const sw::wavesim::EvalProgram>(
+                    *target.program, *designer_, *engine_, options);
       {
         std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.program_builds;
-        stats_.program_stages += built->num_stages();
-        stats_.program_stage_designs += built->program().num_stage_designs();
-        if (built->depth() > stats_.max_program_depth) {
-          stats_.max_program_depth = built->depth();
-        }
-        // Per-stage precision verdicts roll into the same detector mix the
-        // metrics endpoint exports for single plans.
-        if (precision == sw::wavesim::Precision::kFloat32) {
-          for (std::size_t s = 0; s < built->num_stages(); ++s) {
-            const auto& plan = built->program().stage_plan(s);
-            if (plan.has_f32()) {
-              ++stats_.f32_plans;
-            } else if (plan.is_block()) {
-              ++stats_.block_plans;
-            } else {
-              ++stats_.f32_fallbacks;
-            }
-            stats_.f32_detectors += plan.num_f32_detectors();
-            stats_.f64_rescue_detectors += plan.num_f64_rescue_detectors();
-          }
-        }
+        count_build_locked(target, *built, p);
       }
       builder.set_value(std::move(built));
     } catch (...) {
+      // Drop the poisoned entry first so no new lookup can ever observe a
+      // ready-with-exception slot, then wake the waiters with the error.
       {
         std::lock_guard<std::mutex> lock(mutex_);
-        erase_locked(key, precision, /*is_program=*/true);
+        erase_locked(key, p);
       }
       builder.set_exception(std::current_exception());
     }

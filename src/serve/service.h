@@ -4,14 +4,18 @@
 // One EvaluatorService owns the WaveEngine, a designer, a plan cache and a
 // worker pool, and accepts interleaved packed-word batches against
 // *arbitrary* targets — single gate layouts or multi-stage ProgramSpecs —
-// through one request type (serve::EvalRequest): submit() is asynchronous
-// (returns a std::future), admission control bounds the request queue and
-// the words in flight (shed or block, caller-visible), and per-target
-// artefacts (BatchEvaluator plans, fused EvalPrograms) are cached in one
-// LRU keyed by the canonical target hash — so the steady-state cost of a
-// repeated target is just the packed-bit evaluation, not plan or program
-// reconstruction. The submit fast path resolves a cached entry without
-// copying the target; a miss hands the spec to a worker, where
+// through one request type (serve::EvalRequest): submit() returns a
+// std::future, submit_async() a callback, and admission control bounds the
+// request queue and the words in flight (shed or block, caller-visible).
+//
+// Both target kinds run as one artefact: the plan cache turns a layout
+// into a one-stage wavesim::EvalProgram over that very layout and a
+// ProgramSpec into its designed cascade, keyed by the target's canonical
+// bytes. A worker therefore has one evaluation path — look the program up
+// (building it on a cold miss), run its bit-plane evaluate_bits, return
+// the last stage's bits — and the steady-state cost of a repeated target
+// is just that evaluation. The submit fast path resolves a cached entry
+// without copying the target; a miss hands a copy to a worker, where
 // construction is serialised per key behind the cache entry.
 #pragma once
 
@@ -42,12 +46,14 @@ struct ServiceOptions {
   /// std::thread::hardware_concurrency(). At least one dedicated worker is
   /// always spawned so submission stays asynchronous on one-core hosts.
   std::size_t num_threads = 0;
-  /// Plan-cache capacity in distinct layouts; 0 = unbounded.
+  /// Plan-cache capacity in distinct targets (layouts and programs);
+  /// 0 = unbounded.
   std::size_t plan_cache_capacity = 32;
-  /// Options for the cached BatchEvaluators. The default single inline
-  /// thread makes each evaluation run entirely on the service worker that
-  /// picked the request up (parallelism comes from concurrent requests);
-  /// raise it only for few-but-huge-batch workloads.
+  /// Options for the cached programs (precision, frequency tolerance and
+  /// word-loop threads). The default single inline thread makes each
+  /// evaluation run entirely on the service worker that picked the request
+  /// up (parallelism comes from concurrent requests); raise it only for
+  /// few-but-huge-batch workloads.
   sw::wavesim::BatchOptions evaluator_options{.num_threads = 1};
   AdmissionOptions admission;
   /// Observability hook: called on the worker thread right after a request
@@ -171,24 +177,6 @@ class EvaluatorService {
   /// delivered by invoking `done` on the worker thread. Exceptions thrown
   /// by `done` itself are swallowed (the request has already settled).
   void submit_async(EvalRequest request, CompletionFn done);
-
-  /// \deprecated Shim over submit(EvalRequest::for_layout(...)).
-  [[deprecated("build an EvalRequest with EvalRequest::for_layout")]]
-  std::future<ResultBatch> submit(const sw::core::GateLayout& layout,
-                                  std::vector<std::uint8_t> packed_bits,
-                                  std::size_t num_words);
-
-  /// \deprecated Shim over submit(EvalRequest::for_batch(...)).
-  [[deprecated("build an EvalRequest with EvalRequest::for_batch")]]
-  std::future<ResultBatch> submit(
-      const sw::core::GateLayout& layout,
-      const std::vector<std::vector<sw::core::Bits>>& batch);
-
-  /// \deprecated Shim over submit_async(EvalRequest::for_layout(...), done).
-  [[deprecated("build an EvalRequest with EvalRequest::for_layout")]]
-  void submit_async(const sw::core::GateLayout& layout,
-                    std::vector<std::uint8_t> packed_bits,
-                    std::size_t num_words, CompletionFn done);
 
   ServiceStats stats() const;
   const sw::wavesim::WaveEngine& engine() const { return engine_; }

@@ -28,16 +28,6 @@ std::uint64_t stage_clock_ns() {
 
 constexpr std::uint64_t kLowBitOfEachByte = 0x0101010101010101ull;
 
-/// Bytes [0, width) of p as the low bytes of a word, byte j at bits 8j.
-std::uint64_t load_bytes(const std::uint8_t* p, std::size_t width) {
-  std::uint64_t x = 0;
-  std::memcpy(&x, p, width);
-  if constexpr (std::endian::native == std::endian::big) {
-    x = __builtin_bswap64(x);
-  }
-  return x;
-}
-
 void store_bytes(std::uint8_t* p, std::uint64_t x, std::size_t width) {
   if constexpr (std::endian::native == std::endian::big) {
     x = __builtin_bswap64(x);
@@ -45,44 +35,9 @@ void store_bytes(std::uint8_t* p, std::uint64_t x, std::size_t width) {
   std::memcpy(p, &x, width);
 }
 
-/// 0x01 in every byte of x that is nonzero, 0x00 elsewhere (any nonzero
-/// byte is a set bit, as in the kernels' byte entries).
-std::uint64_t nonzero_bytes(std::uint64_t x) {
-  constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
-  return ((((x & kLow7) + kLow7) | x) >> 7) & kLowBitOfEachByte;
-}
-
-/// Packs the row-major num_words x cols byte matrix `rows` into
-/// column-major planes: planes[c * num_groups + g] bit l is 1 iff byte
-/// (64 g + l, c) is nonzero. Lanes past num_words come out 0. Works on
-/// 8 words x 8 columns at a time: byte j of `tile` collects column
-/// c0 + j's bits of the eight words, which is one byte of that plane.
-void pack_planes(const std::uint8_t* rows, std::size_t cols,
-                 std::size_t num_words, std::size_t num_groups,
-                 std::uint64_t* planes) {
-  std::fill_n(planes, cols * num_groups, std::uint64_t{0});
-  for (std::size_t w0 = 0; w0 < num_words; w0 += 8) {
-    const std::size_t g = w0 / kPlaneWords;
-    const std::size_t shift = w0 % kPlaneWords;
-    const std::size_t count = std::min<std::size_t>(8, num_words - w0);
-    for (std::size_t c0 = 0; c0 < cols; c0 += 8) {
-      const std::size_t width = std::min<std::size_t>(8, cols - c0);
-      std::uint64_t tile = 0;
-      for (std::size_t k = 0; k < count; ++k) {
-        tile |= nonzero_bytes(load_bytes(rows + (w0 + k) * cols + c0, width))
-                << k;
-      }
-      for (std::size_t j = 0; j < width; ++j) {
-        planes[(c0 + j) * num_groups + g] |= ((tile >> (8 * j)) & 0xFF)
-                                             << shift;
-      }
-    }
-  }
-}
-
-/// The inverse of pack_planes: writes rows [0, num_words) of the row-major
-/// num_words x cols byte matrix `rows` (one 0/1 byte per bit) from
-/// column-major planes. Lanes past num_words are never read.
+/// The inverse of Kernel::pack_planes: writes rows [0, num_words) of the
+/// row-major num_words x cols byte matrix `rows` (one 0/1 byte per bit)
+/// from column-major planes. Lanes past num_words are never read.
 void unpack_planes(const std::uint64_t* planes, std::size_t num_groups,
                    std::size_t cols, std::size_t num_words,
                    std::uint8_t* rows) {
@@ -162,59 +117,99 @@ EvalProgram::EvalProgram(ProgramSpec spec,
                          const WaveEngine& engine, BatchOptions options)
     : spec_(std::move(spec)), pool_(options.num_threads) {
   spec_.validate();
-  options.precision = resolve_precision(options.precision);
-  const std::size_t n = spec_.num_channels();
-  const std::size_t prim = spec_.primary_slot_count();
-  const auto zero_column = static_cast<std::uint32_t>(bank_columns() - 1);
+  const Precision precision = resolve_precision(options.precision);
   stages_.reserve(spec_.stages.size());
   for (std::size_t s = 0; s < spec_.stages.size(); ++s) {
-    const StageSpec& st = spec_.stages[s];
-    Stage stage;
+    const sw::core::GateSpec& gate_spec = spec_.stages[s].gate;
     // A lowered circuit repeats one GateSpec (up to invert_output), so
     // each distinct gate is designed and planned once and shared.
-    for (std::size_t prev = 0; prev < s; ++prev) {
-      if (spec_.stages[prev].gate == st.gate) {
-        stage.gate = stages_[prev].gate;
-        stage.plan = stages_[prev].plan;
-        break;
-      }
+    const Stage* shared = nullptr;
+    for (std::size_t prev = 0; prev < s && shared == nullptr; ++prev) {
+      if (spec_.stages[prev].gate == gate_spec) shared = &stages_[prev];
     }
-    if (!stage.plan) {
-      auto gate = std::make_shared<const sw::core::DataParallelGate>(
-          designer.design(st.gate), engine);
-      stage.plan = std::make_shared<const EvalPlan>(*gate, options.freq_tol,
-                                                    options.precision);
-      stage.gate = std::move(gate);
-      ++num_designs_;
+    if (shared != nullptr) {
+      add_stage(shared->gate, shared->plan);
+      continue;
     }
-    SW_REQUIRE(stage.plan->slot_count() == st.sources.size() &&
-                   stage.plan->num_channels() == n,
-               "designed stage gate does not match its slot sources");
-    stage.sources.reserve(st.sources.size());
-    for (const SlotSource& src : st.sources) {
-      PlaneSource plane{0, src.negated ? ~std::uint64_t{0} : 0};
-      switch (src.kind) {
-        case SlotSource::Kind::kZero:
-          plane.column = zero_column;
-          break;
-        case SlotSource::Kind::kOne:
-          plane.column = zero_column;
-          plane.flip = ~plane.flip;
-          break;
-        case SlotSource::Kind::kPrimary:
-          plane.column = src.index;
-          break;
-        case SlotSource::Kind::kStage:
-          plane.column = static_cast<std::uint32_t>(prim + src.stage * n +
-                                                    src.index);
-          break;
-      }
-      stage.sources.push_back(plane);
-    }
-    max_slots_ = std::max(max_slots_, st.sources.size());
-    stages_.push_back(std::move(stage));
+    auto gate = std::make_shared<const sw::core::DataParallelGate>(
+        designer.design(gate_spec), engine);
+    auto plan =
+        std::make_shared<const EvalPlan>(*gate, options.freq_tol, precision);
+    add_stage(std::move(gate), std::move(plan));
+    ++num_designs_;
   }
   depth_ = spec_.depth();
+}
+
+namespace {
+
+/// The spec of a one-stage program whose slot s reads primary column s.
+ProgramSpec identity_spec(const sw::core::GateSpec& gate) {
+  ProgramSpec spec;
+  spec.num_primary_inputs = gate.num_inputs;
+  StageSpec stage{gate, {}};
+  const std::size_t slots = gate.num_inputs * gate.frequencies.size();
+  for (std::size_t i = 0; i < slots; ++i) {
+    stage.sources.push_back(SlotSource{SlotSource::Kind::kPrimary, 0,
+                                       static_cast<std::uint32_t>(i), false});
+  }
+  spec.stages.push_back(std::move(stage));
+  return spec;
+}
+
+}  // namespace
+
+EvalProgram::EvalProgram(sw::core::GateLayout layout, const WaveEngine& engine,
+                         BatchOptions options)
+    : spec_(identity_spec(layout.spec)), pool_(options.num_threads) {
+  spec_.validate();
+  auto gate = std::make_shared<const sw::core::DataParallelGate>(
+      std::move(layout), engine);
+  auto plan = std::make_shared<const EvalPlan>(
+      *gate, options.freq_tol, resolve_precision(options.precision));
+  add_stage(std::move(gate), std::move(plan));
+  depth_ = 1;
+}
+
+void EvalProgram::add_stage(
+    std::shared_ptr<const sw::core::DataParallelGate> gate,
+    std::shared_ptr<const EvalPlan> plan) {
+  const StageSpec& st = spec_.stages[stages_.size()];
+  const std::size_t n = spec_.num_channels();
+  SW_REQUIRE(plan->slot_count() == st.sources.size() &&
+                 plan->num_channels() == n,
+             "stage gate does not match its slot sources");
+  const std::size_t prim = spec_.primary_slot_count();
+  const auto zero_column = static_cast<std::uint32_t>(bank_columns() - 1);
+  Stage stage{std::move(gate), std::move(plan), {}, true};
+  stage.sources.reserve(st.sources.size());
+  for (const SlotSource& src : st.sources) {
+    PlaneSource plane{0, src.negated ? ~std::uint64_t{0} : 0};
+    switch (src.kind) {
+      case SlotSource::Kind::kZero:
+        plane.column = zero_column;
+        break;
+      case SlotSource::Kind::kOne:
+        plane.column = zero_column;
+        plane.flip = ~plane.flip;
+        break;
+      case SlotSource::Kind::kPrimary:
+        plane.column = src.index;
+        break;
+      case SlotSource::Kind::kStage:
+        plane.column =
+            static_cast<std::uint32_t>(prim + src.stage * n + src.index);
+        break;
+    }
+    stage.sources.push_back(plane);
+    stage.reads_primary =
+        stage.reads_primary && plane.column == stage.sources.size() - 1 &&
+        plane.flip == 0 && plane.column < prim;
+  }
+  if (!stage.reads_primary) {
+    max_slots_ = std::max(max_slots_, st.sources.size());
+  }
+  stages_.push_back(std::move(stage));
 }
 
 std::string EvalProgram::precision_label() const {
@@ -248,22 +243,27 @@ void EvalProgram::eval_groups(const kernels::Kernel& kernel,
   const std::size_t prim = num_primary_slots();
   const std::size_t w_begin = g_begin * kPlaneWords;
   const std::size_t w_end = std::min(g_end * kPlaneWords, num_words);
-  pack_planes(bits.data() + w_begin * prim, prim, w_end - w_begin, groups,
-              bank.data());
+  kernel.pack_planes(bits.data() + w_begin * prim, prim, w_end - w_begin,
+                     groups, bank.data());
   std::fill_n(bank.data() + (bank_columns() - 1) * groups, groups,
               std::uint64_t{0});
   for (std::size_t s = 0; s < stages_.size(); ++s) {
     const std::uint64_t stage_start = timings ? stage_clock_ns() : 0;
     const Stage& stage = stages_[s];
     // Gather: each slot plane is a bank column, XOR 0 / ~0 — the physical
-    // drive-phase flip costs one word op per 64 words here.
-    std::uint64_t* dst = slot_planes.data();
-    for (const PlaneSource& src : stage.sources) {
-      const std::uint64_t* column = bank.data() + src.column * groups;
-      for (std::size_t g = 0; g < groups; ++g) dst[g] = column[g] ^ src.flip;
-      dst += groups;
+    // drive-phase flip costs one word op per 64 words here. A stage whose
+    // slots read the primary columns in order reads the bank as is.
+    const std::uint64_t* in = bank.data();
+    if (!stage.reads_primary) {
+      std::uint64_t* dst = slot_planes.data();
+      for (const PlaneSource& src : stage.sources) {
+        const std::uint64_t* column = bank.data() + src.column * groups;
+        for (std::size_t g = 0; g < groups; ++g) dst[g] = column[g] ^ src.flip;
+        dst += groups;
+      }
+      in = slot_planes.data();
     }
-    kernel.eval_planes(*stage.plan, slot_planes.data(), groups,
+    kernel.eval_planes(*stage.plan, in, groups,
                        bank.data() + (prim + s * n) * groups);
     if (timings) {
       timings->ns[s].fetch_add(stage_clock_ns() - stage_start,

@@ -8,18 +8,25 @@
 // and pinning constants. EvalProgram is the frozen multi-stage artefact:
 // one EvalPlan per distinct stage gate plus an interconnect map
 // (SlotSource per input slot), evaluated block-wise so a word batch runs
-// end to end through every stage inside one pass.
+// end to end through every stage inside one pass. A single designed
+// layout is the length-one case: EvalProgram(layout, engine) makes a
+// one-stage program whose gate is that layout and whose slots read the
+// primary columns in order — the form the serve layer runs every layout
+// request in, so it caches and evaluates one artefact type.
 //
 // Between stages the words travel as bit planes, the representation the
 // kernels compute in anyway: one std::uint64_t per column per 64-word
 // group, bit l = word 64 g + l's bit (kernels::kPlaneWords). Per block the
-// primary byte matrix is packed into planes once; each stage then gathers
+// primary byte matrix is packed into planes once (the kernel's pack_planes
+// entry); each stage then gathers
 // its slot planes with word-wide copies (source plane ^ 0 or ~0 for
 // negation, a zero plane ^ 0 / ~0 for kZero / kOne — the source table is
 // resolved at construction, there is no per-word switch) and runs the
 // kernel's single plane entry, which writes the stage's channel planes
-// straight into the block's plane bank for later stages to read. Only the
-// last stage (every stage, for evaluate_all_bits) is unpacked to bytes.
+// straight into the block's plane bank for later stages to read (a stage
+// whose slots read the primary columns in order — every layout program —
+// skips the gather and reads the bank). Only the last stage (every stage,
+// for evaluate_all_bits) is unpacked to bytes.
 //
 // The plane entry runs a stage plan's f32 run and f64 rescue run in one
 // call, so per-stage precision and block-f32 are honoured without a
@@ -32,7 +39,7 @@
 // per-stage GateSpecs plus the interconnect, no designed geometry — which
 // is what the wire format ships (serve/wire.h, v3 frames) and the plan
 // cache hashes; an EvalProgram is built from it locally against a
-// designer and engine, exactly like layouts.
+// designer and engine.
 #pragma once
 
 #include <atomic>
@@ -134,6 +141,18 @@ class EvalProgram {
   EvalProgram(ProgramSpec spec, const sw::core::InlineGateDesigner& designer,
               const WaveEngine& engine, BatchOptions options = {});
 
+  /// A one-stage program over an already-designed layout: the serve
+  /// layer's form of every layout-bound request. The stage gate is
+  /// `layout` itself (nothing is designed, so two geometries sharing one
+  /// GateSpec stay two programs) and its sources are the identity kPrimary
+  /// columns, so evaluate_bits takes and returns exactly the matrices of
+  /// BatchEvaluator::evaluate_bits — bit-exact with it on every kernel and
+  /// precision. spec() names the GateSpec the layout was designed from, not
+  /// its geometry; num_stage_designs() is 0. The engine need not outlive
+  /// the program.
+  EvalProgram(sw::core::GateLayout layout, const WaveEngine& engine,
+              BatchOptions options = {});
+
   const ProgramSpec& spec() const { return spec_; }
   std::size_t num_stages() const { return stages_.size(); }
   std::size_t num_channels() const { return spec_.num_channels(); }
@@ -141,9 +160,9 @@ class EvalProgram {
     return spec_.primary_slot_count();
   }
   std::size_t depth() const { return depth_; }
-  /// Distinct stage gates designed for this program (at most
-  /// num_stages(); a lowered circuit has at most two, with and without
-  /// inverted outputs).
+  /// Distinct stage gates this program designed (at most num_stages(); a
+  /// lowered circuit has at most two, with and without inverted outputs;
+  /// 0 for a program over a given layout).
   std::size_t num_stage_designs() const { return num_designs_; }
 
   const EvalPlan& stage_plan(std::size_t stage) const {
@@ -197,7 +216,15 @@ class EvalProgram {
     std::shared_ptr<const sw::core::DataParallelGate> gate;  ///< the layout
     std::shared_ptr<const EvalPlan> plan;
     std::vector<PlaneSource> sources;  ///< one per plan slot
+    /// Slot i reads primary column i unflipped (every layout program): the
+    /// kernel reads the bank's primary planes with no gather.
+    bool reads_primary = false;
   };
+
+  /// Appends the stage for spec_.stages[stages_.size()], resolving its
+  /// slot sources to bank columns.
+  void add_stage(std::shared_ptr<const sw::core::DataParallelGate> gate,
+                 std::shared_ptr<const EvalPlan> plan);
 
   /// Run the words of plane groups [g_begin, g_end) through every stage.
   /// `bank` holds bank_columns() x (g_end - g_begin) planes, column-major:
@@ -223,7 +250,7 @@ class EvalProgram {
   ProgramSpec spec_;
   std::vector<Stage> stages_;
   std::size_t depth_ = 0;
-  std::size_t max_slots_ = 0;
+  std::size_t max_slots_ = 0;  ///< widest gathered stage (gather scratch)
   std::size_t num_designs_ = 0;
   mutable sw::util::ThreadPool pool_;
 };

@@ -1,10 +1,11 @@
 // Runtime-dispatched evaluation kernels over SoA EvalPlans.
 //
-// A kernel decodes input words against a frozen EvalPlan. Five entry
+// A kernel decodes input words against a frozen EvalPlan. Six entry
 // points per kernel, in two input representations:
 //
-// Byte matrices (the single-layout path, BatchEvaluator): a contiguous
-// range of row-major packed words, one byte per input slot.
+// Byte matrices (BatchEvaluator, the library's direct single-layout
+// path): a contiguous range of row-major packed words, one byte per input
+// slot.
 //
 //   * eval_bits — the packed fast path: for each word and detector it
 //     accumulates the bit-selected phasor real parts in double and
@@ -24,14 +25,24 @@
 //     num_words x plan.num_detectors() ChannelResults. Always double:
 //     phase and amplitude are analog readouts, not thresholded bits.
 //
-// Bit planes (the compiled-cascade path, EvalProgram): words travel in
-// groups of kPlaneWords = 64, and one std::uint64_t per input slot (or
-// output channel) per group holds the whole group's bits — bit l of a
-// plane is word 64 g + l's bit. This is the representation the SIMD
-// kernels compute internally anyway (per-slot lane masks in, per-channel
-// verdict masks out), so a cascade stage's outputs feed the next stage's
-// inputs without a byte round trip, and a negated or constant source is
-// one word-wide XOR.
+// Bit planes (EvalProgram: every compiled cascade, and every layout the
+// serve layer runs, as a one-stage program): words travel in groups of
+// kPlaneWords = 64, and one std::uint64_t per input slot (or output
+// channel) per group holds the whole group's bits — bit l of a plane is
+// word 64 g + l's bit. This is the representation the SIMD kernels compute
+// internally anyway (per-slot lane masks in, per-channel verdict masks
+// out), so a cascade stage's outputs feed the next stage's inputs without
+// a byte round trip, and a negated or constant source is one word-wide
+// XOR.
+//
+//   * pack_planes — the byte-to-plane edge: turns a row-major byte matrix
+//     into column planes (any nonzero byte is a 1, as in the byte
+//     entries). On a one-stage program it is most of the plane path's
+//     overhead over the byte entries, so it is a kernel entry: the scalar
+//     kernel packs 8 words x 8 columns per SWAR tile (the reference),
+//     AVX-512 ORs each word's nonzero-column mask (one masked byte load +
+//     byte test, the idiom of its byte entries' mask build) into 64-bit
+//     plane lanes, and AVX2 reuses the scalar pack.
 //
 //   * eval_planes — the ONE plane entry: decodes num_groups whole groups
 //     over the plan's f32 run [0, plan.num_f32_detectors()) and then its
@@ -113,6 +124,14 @@ struct Kernel {
   /// pass), and a channel two detectors write keeps the later one's bits.
   void (*eval_planes)(const EvalPlan& plan, const std::uint64_t* in,
                       std::size_t num_groups, std::uint64_t* out);
+  /// Packs rows [0, num_words) of the row-major num_words x cols byte
+  /// matrix `rows` into column-major planes: planes[c * num_groups + g]
+  /// bit l is 1 iff byte (64 g + l, c) is nonzero. Writes all cols x
+  /// num_groups planes (num_groups >= ceil(num_words / 64)); lanes past
+  /// num_words come out 0.
+  void (*pack_planes)(const std::uint8_t* rows, std::size_t cols,
+                      std::size_t num_words, std::size_t num_groups,
+                      std::uint64_t* planes);
   /// Full ChannelResult decode of words [begin, end): writes rows
   /// [begin, end) of the row-major num_words x plan.num_detectors() result
   /// matrix `out`, element plan.detector_results()[d] of a row carrying
@@ -168,6 +187,11 @@ void eval_bits_f32_scalar_range(const EvalPlan& plan,
                                 const std::uint8_t* bits, std::size_t begin,
                                 std::size_t end, std::uint8_t* out,
                                 std::size_t d_begin, std::size_t d_end);
+
+/// The scalar kernel's pack_planes, which the AVX2 kernel shares.
+void pack_planes_scalar(const std::uint8_t* rows, std::size_t cols,
+                        std::size_t num_words, std::size_t num_groups,
+                        std::uint64_t* planes);
 }  // namespace detail
 
 /// Kernel by name (any dispatch-table entry: "scalar" | "avx2" |

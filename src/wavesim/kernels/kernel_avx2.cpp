@@ -26,6 +26,7 @@
 // planes: a broadcast plane shifted left by a per-lane count (vpsllvq /
 // vpsllvd) lands lane l's bit in that lane's sign bit, which is all the
 // blends read — one shift per lane group instead of a byte transpose.
+// Its pack_planes entry is the scalar kernel's SWAR pack.
 //
 // This translation unit is compiled with -mavx2 (CMake adds the flag only
 // for this file when the compiler supports it and the target is x86); every
@@ -504,6 +505,7 @@ const Kernel* detail::avx2_kernel_candidate() {
                                  &eval_bits_f32_avx2,
                                  &eval_bits_mixed_avx2,
                                  &eval_planes_avx2,
+                                 &detail::pack_planes_scalar,
                                  &eval_channels_avx2};
   return &kernel;
 }

@@ -20,6 +20,10 @@
 // IS eight __mmask8s (or four __mmask16s) side by side, so lane group k's
 // select mask is just byte (or u16) k of the plane, and the eight (four)
 // verdict masks of a detector concatenate back into its channel's plane.
+// Building planes from bytes (pack_planes) reuses the byte entries' mask
+// idiom: one masked byte load + byte test per word gives that word's
+// nonzero-column __mmask64, whose bytes key masked ORs of the word's bit
+// into eight 64-bit plane lanes per vector.
 //
 // This translation unit is compiled with -mavx512f -mavx512bw (CMake adds
 // the flags only for this file when the compiler supports them and the
@@ -373,6 +377,59 @@ void eval_bits_mixed_avx512(const EvalPlan& plan, const std::uint8_t* bits,
   }
 }
 
+/// pack_planes over one chunk of kVecs x 8 columns starting at c0 (the
+/// chunk's last vector may be partial): acc[v] lane j accumulates column
+/// c0 + 8 v + j's plane, word by word.
+template <std::size_t kVecs>
+void pack_chunk_avx512(const std::uint8_t* rows, std::size_t cols,
+                       std::size_t c0, std::size_t num_words,
+                       std::size_t num_groups, std::uint64_t* planes) {
+  const std::size_t width = std::min<std::size_t>(64, cols - c0);
+  const __mmask64 tail = chunk_tail_mask(width);
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    const std::size_t w0 = g * kPlaneWords;
+    const std::size_t count =
+        w0 < num_words ? std::min(kPlaneWords, num_words - w0) : 0;
+    __m512i acc[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v) acc[v] = _mm512_setzero_si512();
+    for (std::size_t l = 0; l < count; ++l) {
+      const __m512i bytes =
+          _mm512_maskz_loadu_epi8(tail, rows + (w0 + l) * cols + c0);
+      const __mmask64 nz = _mm512_test_epi8_mask(bytes, bytes);
+      const __m512i bit = _mm512_set1_epi64(
+          static_cast<long long>(std::uint64_t{1} << l));
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        acc[v] = _mm512_mask_or_epi64(
+            acc[v], static_cast<__mmask8>(nz >> (8 * v)), acc[v], bit);
+      }
+    }
+    alignas(64) std::uint64_t lanes[8 * kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      _mm512_store_si512(lanes + 8 * v, acc[v]);
+    }
+    for (std::size_t j = 0; j < width; ++j) {
+      planes[(c0 + j) * num_groups + g] = lanes[j];
+    }
+  }
+}
+
+void pack_planes_avx512(const std::uint8_t* rows, std::size_t cols,
+                        std::size_t num_words, std::size_t num_groups,
+                        std::uint64_t* planes) {
+  // One instantiation per chunk vector count, so the accumulators stay in
+  // registers (the paper's 24-slot gate needs three).
+  using PackChunk = void (*)(const std::uint8_t*, std::size_t, std::size_t,
+                             std::size_t, std::size_t, std::uint64_t*);
+  static constexpr PackChunk kPackChunk[8] = {
+      &pack_chunk_avx512<1>, &pack_chunk_avx512<2>, &pack_chunk_avx512<3>,
+      &pack_chunk_avx512<4>, &pack_chunk_avx512<5>, &pack_chunk_avx512<6>,
+      &pack_chunk_avx512<7>, &pack_chunk_avx512<8>};
+  for (std::size_t c0 = 0; c0 < cols; c0 += 64) {
+    const std::size_t vecs = (std::min<std::size_t>(64, cols - c0) + 7) / 8;
+    kPackChunk[vecs - 1](rows, cols, c0, num_words, num_groups, planes);
+  }
+}
+
 /// One precision run of eval_planes: per 64-word group and detector, all
 /// 64 lanes at once — kGroups independent accumulators of kLanes words
 /// each, so the adds of one contribution overlap instead of chaining.
@@ -531,6 +588,7 @@ const Kernel* detail::avx512_kernel_candidate() {
                                  &eval_bits_f32_avx512,
                                  &eval_bits_mixed_avx512,
                                  &eval_planes_avx512,
+                                 &pack_planes_avx512,
                                  &eval_channels_avx512};
   return &kernel;
 }

@@ -15,6 +15,8 @@
 // eval_planes is the same per-word decode over bit planes: word l of a
 // group reads bit l of each slot's plane, and its verdict becomes bit l of
 // the channel's output plane.
+// pack_planes builds those planes from a byte matrix with 8 x 8 SWAR
+// tiles.
 //
 // The bit loops are defined as detector-range helpers (exported through
 // kernels::detail) because the block-f32 path needs them twice per word
@@ -23,7 +25,9 @@
 #include "wavesim/kernels/kernel.h"
 
 #include <algorithm>
+#include <bit>
 #include <complex>
+#include <cstring>
 #include <span>
 
 #include "core/detector.h"
@@ -86,6 +90,51 @@ void detail::eval_bits_f32_scalar_range(const EvalPlan& plan,
         acc += word[slots[i]] ? re1[i] : re0[i];
       }
       row[det_channel[d]] = acc < 0.0f ? 1 : 0;
+    }
+  }
+}
+
+namespace {
+
+/// Bytes [0, width) of p as the low bytes of a word, byte j at bits 8j.
+std::uint64_t load_bytes(const std::uint8_t* p, std::size_t width) {
+  std::uint64_t x = 0;
+  std::memcpy(&x, p, width);
+  if constexpr (std::endian::native == std::endian::big) {
+    x = __builtin_bswap64(x);
+  }
+  return x;
+}
+
+/// 0x01 in every byte of x that is nonzero, 0x00 elsewhere.
+std::uint64_t nonzero_bytes(std::uint64_t x) {
+  constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
+  return ((((x & kLow7) + kLow7) | x) >> 7) & 0x0101010101010101ull;
+}
+
+}  // namespace
+
+void detail::pack_planes_scalar(const std::uint8_t* rows, std::size_t cols,
+                                std::size_t num_words, std::size_t num_groups,
+                                std::uint64_t* planes) {
+  std::fill_n(planes, cols * num_groups, std::uint64_t{0});
+  // 8 words x 8 columns at a time: byte j of `tile` collects column
+  // c0 + j's bits of the eight words, which is one byte of that plane.
+  for (std::size_t w0 = 0; w0 < num_words; w0 += 8) {
+    const std::size_t g = w0 / kPlaneWords;
+    const std::size_t shift = w0 % kPlaneWords;
+    const std::size_t count = std::min<std::size_t>(8, num_words - w0);
+    for (std::size_t c0 = 0; c0 < cols; c0 += 8) {
+      const std::size_t width = std::min<std::size_t>(8, cols - c0);
+      std::uint64_t tile = 0;
+      for (std::size_t k = 0; k < count; ++k) {
+        tile |= nonzero_bytes(load_bytes(rows + (w0 + k) * cols + c0, width))
+                << k;
+      }
+      for (std::size_t j = 0; j < width; ++j) {
+        planes[(c0 + j) * num_groups + g] |= ((tile >> (8 * j)) & 0xFF)
+                                             << shift;
+      }
     }
   }
 }
@@ -202,6 +251,7 @@ const Kernel& scalar_kernel() {
                                  &eval_bits_f32_scalar,
                                  &eval_bits_mixed_scalar,
                                  &eval_planes_scalar,
+                                 &detail::pack_planes_scalar,
                                  &eval_channels_scalar};
   return kernel;
 }

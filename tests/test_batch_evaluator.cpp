@@ -143,17 +143,15 @@ TEST(BatchEvaluator, ThreadCountDoesNotChangeResults) {
   }
 }
 
-// The one-shot gate hooks are deprecated in favour of holding a
-// BatchEvaluator (or submitting serve::EvalRequests), but the shims must
-// stay bit-exact until removal — these three tests are that contract.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// The batched forms of DataParallelGate::evaluate / evaluate_uniform and
+// of ParallelLogicGate::evaluate: a BatchEvaluator with default options
+// (threads fanned out over the batch) over the gate.
 
 TEST(BatchEvaluator, GateHookMatchesScalar) {
   const GateFixture fix;
   const auto gate = fix.majority_gate(3, 4);
   const auto batch = random_batch(32, 4, 3, /*seed=*/11);
-  const auto got = gate.evaluate_batch(batch);
+  const auto got = BatchEvaluator(gate).evaluate(batch);
   ASSERT_EQ(got.size(), batch.size());
   for (std::size_t w = 0; w < batch.size(); ++w) {
     expect_identical(got[w], gate.evaluate(batch[w]));
@@ -164,7 +162,7 @@ TEST(BatchEvaluator, UniformGateHookMatchesScalar) {
   const GateFixture fix;
   const auto gate = fix.majority_gate(3, 2);
   const auto patterns = all_patterns(3);
-  const auto got = gate.evaluate_batch_uniform(patterns);
+  const auto got = BatchEvaluator(gate).evaluate_uniform(patterns);
   ASSERT_EQ(got.size(), patterns.size());
   for (std::size_t w = 0; w < patterns.size(); ++w) {
     expect_identical(got[w], gate.evaluate_uniform(patterns[w]));
@@ -187,16 +185,17 @@ TEST(BatchEvaluator, ParallelLogicGateBatchMatchesScalar) {
         b_words[w][ch] = coin(rng) ? 1 : 0;
       }
     }
-    const auto got = gate.evaluate_batch(a_words, b_words);
-    ASSERT_EQ(got.size(), a_words.size());
+    const auto got = BatchEvaluator(gate.gate()).evaluate_bits(
+        a_words.size(), gate.pack_batch(a_words, b_words));
+    ASSERT_EQ(got.size(), a_words.size() * 4);
     for (std::size_t w = 0; w < a_words.size(); ++w) {
-      EXPECT_EQ(got[w], gate.evaluate(a_words[w], b_words[w]))
+      const Bits row(got.begin() + static_cast<std::ptrdiff_t>(w * 4),
+                     got.begin() + static_cast<std::ptrdiff_t>((w + 1) * 4));
+      EXPECT_EQ(row, gate.evaluate(a_words[w], b_words[w]))
           << "op " << boolean_op_name(op) << " word " << w;
     }
   }
 }
-
-#pragma GCC diagnostic pop
 
 TEST(BatchEvaluator, PackBatchFeedsAHeldEvaluatorBitExactly) {
   const GateFixture fix;
@@ -213,8 +212,7 @@ TEST(BatchEvaluator, PackBatchFeedsAHeldEvaluatorBitExactly) {
       b_words[w][ch] = coin(rng) ? 1 : 0;
     }
   }
-  // The replacement idiom for the deprecated evaluate_batch: pack once per
-  // batch, evaluate on a long-lived plan.
+  // Pack once per batch, evaluate on a long-lived plan.
   const BatchEvaluator evaluator(gate.gate(), {.num_threads = 1});
   const auto packed = gate.pack_batch(a_words, b_words);
   const auto decoded = evaluator.evaluate_bits(a_words.size(), packed);

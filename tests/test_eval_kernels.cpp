@@ -380,9 +380,20 @@ TEST(EvalPlan, PlanCacheServesTheSoAPlanItBuilt) {
   spec.frequencies = channel_frequencies(4);
   const auto layout = fix.designer.design(spec);
   const auto lookup = cache.get_or_build(layout);
-  ASSERT_NE(lookup.plan, nullptr);
-  // The evaluator shares the cached SoA plan — same object, no conversion.
-  EXPECT_EQ(&lookup.plan->evaluator().plan(), &lookup.plan->plan());
+  ASSERT_NE(lookup.program, nullptr);
+  // A layout entry is a one-stage program whose stage gate is the layout
+  // itself and whose plan decodes like a fresh evaluator's.
+  ASSERT_EQ(lookup.program->num_stages(), 1u);
+  EXPECT_EQ(sw::serve::hash_layout(lookup.program->stage_gate(0).layout()),
+            sw::serve::hash_layout(layout));
+  const DataParallelGate gate(layout, fix.engine);
+  const BatchEvaluator fresh(gate, {.num_threads = 1});
+  EXPECT_EQ(lookup.program->stage_plan(0).slot_count(), fresh.slot_count());
+  std::mt19937 rng(3);
+  std::vector<std::uint8_t> matrix(100 * fresh.slot_count());
+  for (auto& b : matrix) b = static_cast<std::uint8_t>(rng() & 1);
+  EXPECT_EQ(lookup.program->evaluate_bits(100, matrix),
+            fresh.evaluate_bits(100, matrix));
 }
 
 // ------------------------------------------------------------ equivalence --
@@ -797,6 +808,40 @@ TEST(PlaneKernel, ChannelWithoutADetectorComesOutZero) {
   for (const Precision p : {Precision::kFloat64, Precision::kFloat32}) {
     const EvalPlan plan(gate, sw::wavesim::kDefaultFreqTol, p);
     expect_planes_match_bytes(plan, 130, 11, plan.precision_label());
+  }
+}
+
+TEST(PlaneKernel, PackPlanesMatchesANaiveReference) {
+  // Every kernel's byte-to-plane pack against a per-bit reference: any
+  // nonzero byte is a 1, column counts straddle the 8-column SWAR tile and
+  // the 64-column AVX-512 chunk, word counts straddle the 8-word tile and
+  // the 64-word plane, and lanes past num_words (plus one spare group)
+  // come out 0 over a poisoned buffer.
+  constexpr std::uint8_t kNonzero[] = {0x01, 0x02, 0x80, 0xFF};
+  std::mt19937 rng(77);
+  for (const std::size_t cols : {1ul, 7ul, 8ul, 9ul, 24ul, 32ul, 64ul, 65ul,
+                                 130ul}) {
+    for (const std::size_t num_words :
+         {0ul, 1ul, 7ul, 8ul, 63ul, 64ul, 65ul, 1000ul}) {
+      std::vector<std::uint8_t> rows(num_words * cols);
+      for (auto& b : rows) b = (rng() & 1) ? kNonzero[rng() % 4] : 0;
+      const std::size_t groups = plane_groups(num_words) + 1;
+      std::vector<std::uint64_t> want(cols * groups, 0);
+      for (std::size_t w = 0; w < num_words; ++w) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          if (rows[w * cols + c] != 0) {
+            want[c * groups + w / kPlaneWords] |= std::uint64_t{1}
+                                                  << (w % kPlaneWords);
+          }
+        }
+      }
+      for (const Kernel* k : available_kernels()) {
+        std::vector<std::uint64_t> got(cols * groups, 0xA5A5A5A5A5A5A5A5ull);
+        k->pack_planes(rows.data(), cols, num_words, groups, got.data());
+        ASSERT_EQ(got, want) << "kernel " << k->name << ", " << cols
+                             << " columns, " << num_words << " words";
+      }
+    }
   }
 }
 

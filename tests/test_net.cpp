@@ -16,9 +16,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <random>
+#include <set>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -337,6 +341,114 @@ TEST(EvalServer, ProgramCacheCountersRenderTheirValues) {
                            "sw_serve_plan_cache_program_stage_designs 5\n",
                            "sw_serve_plan_cache_max_program_depth 6\n"}) {
     EXPECT_NE(text.find(line), std::string::npos) << line << text;
+  }
+}
+
+/// Metric names of README's catalogue table (the backticked names in the
+/// first column of the table after "**Metrics catalogue.**"). A `{a,b}`
+/// right after `_` expands (`x_{a,b}_y` -> x_a_y, x_b_y); a brace after a
+/// letter is a label set (`sw_serve_kernel{name}`) and is dropped.
+std::set<std::string> readme_catalogue_names() {
+  const auto readme =
+      std::filesystem::path(__FILE__).parent_path().parent_path() /
+      "README.md";
+  std::ifstream in(readme);
+  EXPECT_TRUE(in.good()) << "cannot read " << readme;
+  std::set<std::string> names;
+  std::string line;
+  bool in_catalogue = false;
+  while (std::getline(in, line)) {
+    if (line.find("**Metrics catalogue.**") != std::string::npos) {
+      in_catalogue = true;
+      continue;
+    }
+    if (!in_catalogue || line.rfind("| `", 0) != 0) {
+      if (in_catalogue && !names.empty() && line.rfind("|", 0) != 0) break;
+      continue;
+    }
+    const std::string first_cell = line.substr(0, line.find(" | ", 2));
+    std::size_t pos = 0;
+    while ((pos = first_cell.find('`', pos)) != std::string::npos) {
+      const std::size_t end = first_cell.find('`', pos + 1);
+      std::string name = first_cell.substr(pos + 1, end - pos - 1);
+      pos = end + 1;
+      std::vector<std::string> expanded{""};
+      for (std::size_t i = 0; i < name.size();) {
+        if (name[i] == '{') {
+          const std::size_t close = name.find('}', i);
+          if (i > 0 && name[i - 1] == '_') {
+            std::vector<std::string> next;
+            std::stringstream alternatives(name.substr(i + 1, close - i - 1));
+            std::string alt;
+            while (std::getline(alternatives, alt, ',')) {
+              for (const auto& prefix : expanded) next.push_back(prefix + alt);
+            }
+            expanded = std::move(next);
+          }
+          i = close + 1;
+        } else {
+          for (auto& prefix : expanded) prefix += name[i];
+          ++i;
+        }
+      }
+      names.insert(expanded.begin(), expanded.end());
+    }
+  }
+  return names;
+}
+
+/// Metric family names of an exposition text: the name before any label
+/// set or value, with a histogram's _bucket/_sum/_count lines folded into
+/// their family (a family is a histogram when it renders _bucket lines).
+std::set<std::string> rendered_families(const std::string& text) {
+  std::vector<std::string> names;
+  std::set<std::string> histograms;
+  std::stringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::string name = line.substr(0, line.find_first_of("{ "));
+    const std::string bucket = "_bucket";
+    if (name.size() > bucket.size() &&
+        name.compare(name.size() - bucket.size(), bucket.size(), bucket) ==
+            0) {
+      histograms.insert(name.substr(0, name.size() - bucket.size()));
+    }
+    names.push_back(name);
+  }
+  std::set<std::string> families;
+  for (const std::string& name : names) {
+    std::string family = name;
+    for (const std::string suffix : {"_bucket", "_sum", "_count"}) {
+      if (name.size() > suffix.size() &&
+          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+              0 &&
+          histograms.count(name.substr(0, name.size() - suffix.size())) > 0) {
+        family = name.substr(0, name.size() - suffix.size());
+      }
+    }
+    families.insert(family);
+  }
+  return families;
+}
+
+TEST(MetricsCatalogue, EveryRenderedFamilyIsInTheReadmeTable) {
+  // Drift guard: a metric the service, transport or registry renders but
+  // README's catalogue does not list fails here.
+  const auto documented = readme_catalogue_names();
+  ASSERT_FALSE(documented.empty());
+  const Waveguide wg = paper_waveguide();
+  const FvmswDispersion model{wg};
+  sw::serve::EvaluatorService service(model, wg.material.alpha);
+  const std::string text = render_service_metrics(service.stats()) +
+                           render_server_metrics(ServerCounters{}) +
+                           render_registry_metrics(RegistryCounters{});
+  const auto families = rendered_families(text);
+  EXPECT_GT(families.size(), 30u);
+  for (const std::string& family : families) {
+    EXPECT_EQ(documented.count(family), 1u)
+        << family << " is rendered but missing from README's metrics "
+        << "catalogue";
   }
 }
 

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/encoding.h"
@@ -29,6 +30,7 @@
 #include "util/error.h"
 #include "wavesim/batch_evaluator.h"
 #include "wavesim/eval_plan.h"
+#include "wavesim/eval_program.h"
 #include "wavesim/kernels/kernel.h"
 #include "wavesim/precision.h"
 #include "wavesim/wave_engine.h"
@@ -395,18 +397,18 @@ TEST(PlanCachePrecision, KeysCarryThePrecisionBit) {
   EXPECT_FALSE(f64.hit);
   const auto f32 = cache.get_or_build(layout, Precision::kFloat32);
   EXPECT_FALSE(f32.hit) << "f32 lookup must not alias the f64 entry";
-  EXPECT_NE(f64.plan.get(), f32.plan.get());
+  EXPECT_NE(f64.program.get(), f32.program.get());
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(f64.plan->effective_precision(), Precision::kFloat64);
-  EXPECT_EQ(f32.plan->effective_precision(), Precision::kFloat32);
+  EXPECT_EQ(f64.program->stage_plan(0).effective_precision(), Precision::kFloat64);
+  EXPECT_EQ(f32.program->stage_plan(0).effective_precision(), Precision::kFloat32);
 
   // Repeat lookups hit their own precision's entry.
   EXPECT_TRUE(cache.get_or_build(layout, Precision::kFloat64).hit);
   EXPECT_TRUE(cache.get_or_build(layout, Precision::kFloat32).hit);
   EXPECT_EQ(cache.try_get(layout, Precision::kFloat32).get(),
-            f32.plan.get());
+            f32.program.get());
   EXPECT_EQ(cache.try_get(layout, Precision::kFloat64).get(),
-            f64.plan.get());
+            f64.program.get());
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 2u);
@@ -423,9 +425,9 @@ TEST(PlanCachePrecision, FallbacksAreCountedPerBuild) {
 
   const auto wide = cache.get_or_build(fix.majority_layout(3, 2));
   const auto thin = cache.get_or_build(fix.thin_margin_layout());
-  EXPECT_EQ(wide.plan->effective_precision(), Precision::kFloat32);
-  EXPECT_EQ(thin.plan->effective_precision(), Precision::kFloat64);
-  EXPECT_FALSE(thin.plan->plan().f32_rejection().empty());
+  EXPECT_EQ(wide.program->stage_plan(0).effective_precision(), Precision::kFloat32);
+  EXPECT_EQ(thin.program->stage_plan(0).effective_precision(), Precision::kFloat64);
+  EXPECT_FALSE(thin.program->stage_plan(0).f32_rejection().empty());
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.f32_plans, 1u);
@@ -445,12 +447,12 @@ TEST(PlanCachePrecision, BlockBuildsAndDetectorMixAreCounted) {
       fix.thin_channel(fix.majority_layout(3, 8), 2));
   const auto thin = cache.get_or_build(fix.thin_margin_layout());
 
-  EXPECT_TRUE(wide.plan->plan().has_f32());
-  ASSERT_TRUE(block.plan->plan().is_block());
-  EXPECT_EQ(block.plan->f32_detectors(), 7u);
-  EXPECT_EQ(block.plan->f64_rescue_detectors(), 1u);
-  EXPECT_EQ(block.plan->precision_label(), "block-f32(7/8)");
-  EXPECT_FALSE(thin.plan->plan().has_f32());
+  EXPECT_TRUE(wide.program->stage_plan(0).has_f32());
+  ASSERT_TRUE(block.program->stage_plan(0).is_block());
+  EXPECT_EQ(block.program->stage_plan(0).num_f32_detectors(), 7u);
+  EXPECT_EQ(block.program->stage_plan(0).num_f64_rescue_detectors(), 1u);
+  EXPECT_EQ(block.program->precision_label(), "block-f32(7/8)");
+  EXPECT_FALSE(thin.program->stage_plan(0).has_f32());
 
   const auto stats = cache.stats();
   // Each f32-requested build lands in exactly one of the three counters.
@@ -537,6 +539,102 @@ TEST(ServicePrecision, DefaultPrecisionFollowsTheProcessChoice) {
   EXPECT_EQ(svc.stats().precision,
             std::string(sw::wavesim::precision_name(
                 sw::wavesim::active_precision())));
+}
+
+// ------------------------------------------------------ layout programs --
+
+/// The layouts the serve layer lowers to one-stage programs, one per plan
+/// shape: the paper's 8-channel MAJ3, a 1-thin-of-8 block-f32 layout, the
+/// 1-channel thin-margin fallback, and a 4-channel layout whose second
+/// detector reads channel 0 (so channel 1 has no detector).
+std::vector<std::pair<std::string, GateLayout>> layout_targets(
+    const PrecisionFixture& fix) {
+  GateLayout detectorless = fix.majority_layout(3, 4);
+  detectorless.detectors[1].channel = 0;
+  return {{"paper", fix.majority_layout(3, 8)},
+          {"thin-1-of-8", fix.thin_channel(fix.majority_layout(3, 8), 2)},
+          {"thin-margin", fix.thin_margin_layout()},
+          {"detector-less channel", detectorless}};
+}
+
+std::vector<const sw::wavesim::kernels::Kernel*> available_kernels() {
+  std::vector<const sw::wavesim::kernels::Kernel*> kernels{
+      &sw::wavesim::kernels::scalar_kernel()};
+  if (const auto* k = sw::wavesim::kernels::avx2_kernel()) kernels.push_back(k);
+  if (const auto* k = sw::wavesim::kernels::avx512_kernel()) {
+    kernels.push_back(k);
+  }
+  return kernels;
+}
+
+constexpr std::size_t kLayoutWordCounts[] = {0, 1, 7, 63, 64, 65, 1000, 4096};
+
+TEST(LayoutProgram, DecodesLikeBatchEvaluatorOnEveryKernelAndPrecision) {
+  const PrecisionFixture fix;
+  unsigned seed = 100;
+  for (const auto& [name, layout] : layout_targets(fix)) {
+    const DataParallelGate gate(layout, fix.engine);
+    for (const Precision p : {Precision::kFloat64, Precision::kFloat32}) {
+      const BatchEvaluator reference(gate, {.num_threads = 1, .precision = p});
+      const sw::wavesim::EvalProgram program(layout, fix.engine,
+                                             {.num_threads = 1, .precision = p});
+      ASSERT_EQ(program.num_stages(), 1u);
+      ASSERT_EQ(program.num_primary_slots(), reference.slot_count());
+      EXPECT_EQ(program.precision_label(), reference.plan().precision_label())
+          << name;
+      for (const std::size_t words : kLayoutWordCounts) {
+        const auto matrix =
+            random_matrix(words, reference.slot_count(), ++seed);
+        for (const auto* kernel : available_kernels()) {
+          ASSERT_EQ(program.evaluate_bits(words, matrix, *kernel),
+                    reference.evaluate_bits(words, matrix, *kernel))
+              << name << " " << reference.plan().precision_label() << " "
+              << kernel->name << " " << words << " words";
+        }
+      }
+    }
+  }
+}
+
+TEST(LayoutProgram, ServiceBitsEqualBatchEvaluatorAtEveryPrecision) {
+  const PrecisionFixture fix;
+  sw::serve::EvaluatorService svc(fix.model, fix.wg.material.alpha);
+  unsigned seed = 300;
+  std::size_t f32_builds = 0;
+  for (const auto& [name, layout] : layout_targets(fix)) {
+    const DataParallelGate gate(layout, fix.engine);
+    for (const Precision p : {Precision::kFloat64, Precision::kFloat32}) {
+      f32_builds += p == Precision::kFloat32 ? 1 : 0;
+      const BatchEvaluator reference(gate, {.num_threads = 1, .precision = p});
+      for (const std::size_t words : kLayoutWordCounts) {
+        const auto matrix =
+            random_matrix(words, reference.slot_count(), ++seed);
+        auto request =
+            sw::serve::EvalRequest::for_layout(layout, matrix, words);
+        request.precision = p;
+        const auto result = svc.submit(std::move(request)).get();
+        ASSERT_EQ(result.bits, reference.evaluate_bits(words, matrix))
+            << name << " " << reference.plan().precision_label() << " "
+            << words << " words";
+        EXPECT_EQ(result.num_stages, 1u);
+        EXPECT_EQ(result.depth, 1u);
+      }
+    }
+  }
+  const auto stats = svc.stats().cache;
+  EXPECT_EQ(stats.misses, 2 * layout_targets(fix).size());
+  // Layout builds are one-stage programs, but not program builds.
+  EXPECT_EQ(stats.program_builds, 0u);
+  EXPECT_EQ(stats.program_stages, 0u);
+  EXPECT_EQ(stats.program_stage_designs, 0u);
+  EXPECT_EQ(stats.max_program_depth, 0u);
+  // Each f32 layout build lands in exactly one precision verdict, and this
+  // set covers all three.
+  EXPECT_EQ(stats.f32_plans + stats.block_plans + stats.f32_fallbacks,
+            f32_builds);
+  EXPECT_GE(stats.f32_plans, 1u);
+  EXPECT_EQ(stats.block_plans, 1u);
+  EXPECT_EQ(stats.f32_fallbacks, 1u);
 }
 
 }  // namespace

@@ -250,6 +250,51 @@ TEST(ProgramEquivalence, RandomProgramsMatchTheStagedOracle) {
   EXPECT_TRUE(saw_negated);
 }
 
+TEST(ProgramEquivalence, InOrderPrimaryStagesMatchTheStagedOracle) {
+  // A stage whose slots read the primary columns in order, unflipped, is
+  // evaluated straight from the plane bank (every layout program is one);
+  // a negated slot, a swapped pair or a constant must take the gather.
+  // (MAJ is symmetric, so the swap crosses channels to change the bits.)
+  const Fixture fix;
+  std::mt19937 rng(77);
+  const std::size_t n = 4;
+  GateSpec gate;
+  gate.num_inputs = 3;
+  gate.frequencies = channel_frequencies(n);
+  std::vector<SlotSource> in_order(gate.num_inputs * n);
+  for (std::size_t i = 0; i < in_order.size(); ++i) {
+    in_order[i] = {SlotSource::Kind::kPrimary, 0,
+                   static_cast<std::uint32_t>(i), false};
+  }
+  std::vector<std::vector<SlotSource>> first_stages(4, in_order);
+  first_stages[1][5].negated = true;
+  std::swap(first_stages[2][0], first_stages[2][4]);  // across channels
+  first_stages[3][7] = {SlotSource::Kind::kOne, 0, 0, false};
+  for (std::size_t v = 0; v < first_stages.size(); ++v) {
+    ProgramSpec spec;
+    spec.num_primary_inputs = gate.num_inputs;
+    spec.stages.push_back({gate, first_stages[v]});
+    // A second stage over the first one's outputs and the primaries.
+    sw::wavesim::StageSpec second{gate, in_order};
+    for (std::size_t ch = 0; ch < n; ++ch) {
+      second.sources[ch * gate.num_inputs] = {
+          SlotSource::Kind::kStage, 0, static_cast<std::uint32_t>(ch),
+          ch % 2 == 1};
+    }
+    spec.stages.push_back(second);
+    for (const std::size_t words : {1ul, 64ul, 65ul, 1000ul}) {
+      const auto primary =
+          random_primary(rng, words, spec.primary_slot_count());
+      for (const Precision p : kPrecisions) {
+        expect_program_matches_oracle(
+            fix, spec, p, words, primary,
+            "variant " + std::to_string(v) + ", " + std::to_string(words) +
+                " words, " + std::string(sw::wavesim::precision_name(p)));
+      }
+    }
+  }
+}
+
 /// The program_churn function set for one seed: distinct 4-input tables
 /// that depend on all four inputs, drawn from std::mt19937_64(seed).
 std::vector<std::uint16_t> full_support_tables(std::uint64_t seed,

@@ -172,14 +172,41 @@ TEST(PlanCache, CachedPlanEvaluatesLikeAFreshEvaluator) {
   const ServeFixture fix;
   PlanCache cache(fix.engine, 4);
   const auto layout = fix.majority_layout(3, 4);
-  const auto plan = cache.get_or_build(layout).plan;
+  const auto plan = cache.get_or_build(layout).program;
   ASSERT_NE(plan, nullptr);
 
   const DataParallelGate gate(layout, fix.engine);
   const BatchEvaluator fresh(gate, {.num_threads = 1});
   const auto matrix = random_matrix(64, fresh.slot_count(), /*seed=*/5);
-  EXPECT_EQ(plan->evaluator().evaluate_bits(64, matrix),
+  EXPECT_EQ(plan->evaluate_bits(64, matrix),
             fresh.evaluate_bits(64, matrix));
+}
+
+TEST(PlanCache, LayoutsSharingAGateSpecGetDistinctEntries) {
+  // Two geometries designed from one GateSpec (one source amplitude
+  // rescaled) key by their layout bytes, not the spec: two builds, two
+  // programs, each over its own layout.
+  const ServeFixture fix;
+  PlanCache cache(fix.engine, 4);
+  const auto a = fix.majority_layout(3, 8);
+  auto b = a;
+  b.sources[4].amplitude *= 0.5;
+  ASSERT_TRUE(a.spec == b.spec);
+
+  const auto first = cache.get_or_build(a);
+  const auto second = cache.get_or_build(b);
+  EXPECT_FALSE(first.hit);
+  EXPECT_FALSE(second.hit);
+  EXPECT_NE(first.program, second.program);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(hash_layout(first.program->stage_gate(0).layout()),
+            hash_layout(a));
+  EXPECT_EQ(hash_layout(second.program->stage_gate(0).layout()),
+            hash_layout(b));
+  EXPECT_EQ(cache.try_get(b), second.program);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.program_builds, 0u);
 }
 
 TEST(PlanCache, ConcurrentLookupsBuildOnce) {
@@ -188,12 +215,12 @@ TEST(PlanCache, ConcurrentLookupsBuildOnce) {
   const auto layout = fix.majority_layout(3, 4);
 
   constexpr std::size_t kThreads = 8;
-  std::vector<PlanCache::PlanPtr> got(kThreads);
+  std::vector<PlanCache::ProgramPtr> got(kThreads);
   {
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
-        got[t] = cache.get_or_build(layout).plan;
+        got[t] = cache.get_or_build(layout).program;
       });
     }
     for (auto& th : threads) th.join();
@@ -886,18 +913,18 @@ TEST(PlanCache, ProgramEntriesShareTheLruWithStats) {
                   &fix.designer);
   const auto program = synthesize_program(0x1B, 3, 2);
 
-  EXPECT_EQ(cache.try_get_program(program), nullptr);  // cold: no entry
-  const auto first = cache.get_or_build_program(program);
+  EXPECT_EQ(cache.try_get(program), nullptr);  // cold: no entry
+  const auto first = cache.get_or_build(program);
   EXPECT_FALSE(first.hit);
   ASSERT_NE(first.program, nullptr);
   EXPECT_EQ(first.program->num_stages(), program.num_stages());
-  EXPECT_TRUE(cache.get_or_build_program(program).hit);
-  EXPECT_NE(cache.try_get_program(program), nullptr);
+  EXPECT_TRUE(cache.get_or_build(program).hit);
+  EXPECT_NE(cache.try_get(program), nullptr);
 
   // Layout entries share the LRU: two layout builds push the program out.
   (void)cache.get_or_build(fix.majority_layout(3, 2));
   (void)cache.get_or_build(fix.majority_layout(3, 3));
-  EXPECT_EQ(cache.try_get_program(program), nullptr);
+  EXPECT_EQ(cache.try_get(program), nullptr);
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 3u);  // program + two layouts
@@ -907,7 +934,7 @@ TEST(PlanCache, ProgramEntriesShareTheLruWithStats) {
   EXPECT_EQ(stats.program_stages, first.program->num_stages());
   EXPECT_EQ(stats.max_program_depth, first.program->depth());
   EXPECT_EQ(stats.program_stage_designs,
-            first.program->program().num_stage_designs());
+            first.program->num_stage_designs());
   EXPECT_GE(stats.program_stage_designs, 1u);
   EXPECT_LE(stats.program_stage_designs, 2u);
 }
@@ -916,8 +943,8 @@ TEST(PlanCache, ProgramLookupWithoutDesignerThrows) {
   const ServeFixture fix;
   PlanCache cache(fix.engine, 4);  // no designer: layouts only
   const auto program = synthesize_program(0xE8, 3, 2);
-  EXPECT_THROW((void)cache.try_get_program(program), sw::util::Error);
-  EXPECT_THROW((void)cache.get_or_build_program(program), sw::util::Error);
+  EXPECT_THROW((void)cache.try_get(program), sw::util::Error);
+  EXPECT_THROW((void)cache.get_or_build(program), sw::util::Error);
   // Layout lookups stay unaffected.
   EXPECT_FALSE(cache.get_or_build(fix.majority_layout(3, 2)).hit);
 }
@@ -965,6 +992,48 @@ TEST(EvaluatorService, ProgramRequestMatchesPerStagePhysicsOracle) {
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.bits, first.bits);
   EXPECT_GE(svc.stats().cache.program_builds, 1u);
+}
+
+/// The phases a settled trace carries, in span order.
+std::vector<sw::obs::Phase> trace_phases(const sw::obs::TraceContext& trace) {
+  std::vector<sw::obs::Phase> phases;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    phases.push_back(trace.span(i).phase);
+  }
+  return phases;
+}
+
+TEST(EvaluatorService, LayoutRequestsKeepTheirTracePhases) {
+  // A layout runs as a one-stage program, but its trace is a gate's:
+  // admission, lookup, (build on a miss), queue, kernel — no kStage child
+  // span. A real cascade gets one kStage span per stage.
+  using sw::obs::Phase;
+  const ServeFixture fix;
+  EvaluatorService svc(fix.model, fix.wg.material.alpha);
+  const auto layout = fix.majority_layout(3, 4);
+  const auto matrix = random_matrix(70, 12, /*seed=*/71);
+  const auto cold =
+      svc.submit(EvalRequest::for_layout(layout, matrix, 70)).get();
+  const auto warm =
+      svc.submit(EvalRequest::for_layout(layout, matrix, 70)).get();
+  std::vector<Phase> want = {Phase::kAdmission, Phase::kPlanLookup,
+                             Phase::kQueue, Phase::kPlanBuild,
+                             Phase::kKernel};
+  EXPECT_EQ(trace_phases(cold.trace), want);
+  want.erase(want.begin() + 3);  // a hit builds nothing
+  EXPECT_EQ(trace_phases(warm.trace), want);
+
+  const auto program = synthesize_program(0x1B, 3, 4);
+  ASSERT_GE(program.num_stages(), 2u);
+  const auto cascade =
+      svc.submit(EvalRequest::for_program(
+                     program, random_matrix(70, 12, /*seed=*/72), 70))
+          .get();
+  std::size_t stage_spans = 0;
+  for (const Phase phase : trace_phases(cascade.trace)) {
+    stage_spans += phase == Phase::kStage ? 1 : 0;
+  }
+  EXPECT_EQ(stage_spans, program.num_stages());
 }
 
 }  // namespace
