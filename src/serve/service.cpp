@@ -55,6 +55,9 @@ struct EvaluatorService::Request {
   /// a cold miss).
   PlanCache::ProgramPtr program;
   std::variant<sw::core::GateLayout, sw::wavesim::ProgramSpec> target;
+  /// ProgramSpec targets get one kStage child span per stage; a layout's
+  /// kernel span already is its one stage.
+  bool stage_spans = false;
   std::vector<std::uint8_t> bits;
   /// Phase spans, seeded by the transport (wire decode) and grown here.
   sw::obs::TraceContext trace;
@@ -125,6 +128,7 @@ void EvaluatorService::post_request(EvalRequest&& source,
   request->num_words = num_words;
   request->submitted_at = std::chrono::steady_clock::now();
   request->precision = source.precision;
+  request->stage_spans = source.program != nullptr;
   request->bits = std::move(source.packed_bits);
   request->trace = std::move(source.trace);
   request->defer_trace = source.defer_trace_record;
@@ -217,9 +221,7 @@ void EvaluatorService::process(Request* raw) {
     out.cache_hit = hit;
     out.num_stages = program->num_stages();
     out.depth = program->depth();
-    // Per-stage attribution only for a real cascade: a one-stage target's
-    // kernel span already is its stage.
-    const bool staged = program->num_stages() > 1;
+    const bool staged = request->stage_spans;
     sw::wavesim::StageTimings timings(staged ? program->num_stages() : 0);
     const std::size_t kernel_slot =
         request->trace.begin(sw::obs::Phase::kKernel);

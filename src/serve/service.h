@@ -14,7 +14,8 @@
 // bytes. A worker therefore has one evaluation path — look the program up
 // (building it on a cold miss), run its bit-plane evaluate_bits, return
 // the last stage's bits — and the steady-state cost of a repeated target
-// is just that evaluation. The submit fast path resolves a cached entry
+// is just that evaluation. Only a ProgramSpec request's trace splits the
+// kernel span into per-stage kStage spans, however many stages it has. The submit fast path resolves a cached entry
 // without copying the target; a miss hands a copy to a worker, where
 // construction is serialised per key behind the cache entry.
 #pragma once

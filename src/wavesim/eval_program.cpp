@@ -181,7 +181,7 @@ void EvalProgram::add_stage(
              "stage gate does not match its slot sources");
   const std::size_t prim = spec_.primary_slot_count();
   const auto zero_column = static_cast<std::uint32_t>(bank_columns() - 1);
-  Stage stage{std::move(gate), std::move(plan), {}, true};
+  Stage stage{std::move(gate), std::move(plan), {}};
   stage.sources.reserve(st.sources.size());
   for (const SlotSource& src : st.sources) {
     PlaneSource plane{0, src.negated ? ~std::uint64_t{0} : 0};
@@ -202,13 +202,8 @@ void EvalProgram::add_stage(
         break;
     }
     stage.sources.push_back(plane);
-    stage.reads_primary =
-        stage.reads_primary && plane.column == stage.sources.size() - 1 &&
-        plane.flip == 0 && plane.column < prim;
   }
-  if (!stage.reads_primary) {
-    max_slots_ = std::max(max_slots_, st.sources.size());
-  }
+  max_slots_ = std::max(max_slots_, st.sources.size());
   stages_.push_back(std::move(stage));
 }
 
@@ -251,19 +246,14 @@ void EvalProgram::eval_groups(const kernels::Kernel& kernel,
     const std::uint64_t stage_start = timings ? stage_clock_ns() : 0;
     const Stage& stage = stages_[s];
     // Gather: each slot plane is a bank column, XOR 0 / ~0 — the physical
-    // drive-phase flip costs one word op per 64 words here. A stage whose
-    // slots read the primary columns in order reads the bank as is.
-    const std::uint64_t* in = bank.data();
-    if (!stage.reads_primary) {
-      std::uint64_t* dst = slot_planes.data();
-      for (const PlaneSource& src : stage.sources) {
-        const std::uint64_t* column = bank.data() + src.column * groups;
-        for (std::size_t g = 0; g < groups; ++g) dst[g] = column[g] ^ src.flip;
-        dst += groups;
-      }
-      in = slot_planes.data();
+    // drive-phase flip costs one word op per 64 words here.
+    std::uint64_t* dst = slot_planes.data();
+    for (const PlaneSource& src : stage.sources) {
+      const std::uint64_t* column = bank.data() + src.column * groups;
+      for (std::size_t g = 0; g < groups; ++g) dst[g] = column[g] ^ src.flip;
+      dst += groups;
     }
-    kernel.eval_planes(*stage.plan, in, groups,
+    kernel.eval_planes(*stage.plan, slot_planes.data(), groups,
                        bank.data() + (prim + s * n) * groups);
     if (timings) {
       timings->ns[s].fetch_add(stage_clock_ns() - stage_start,

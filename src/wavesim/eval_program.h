@@ -23,10 +23,8 @@
 // negation, a zero plane ^ 0 / ~0 for kZero / kOne — the source table is
 // resolved at construction, there is no per-word switch) and runs the
 // kernel's single plane entry, which writes the stage's channel planes
-// straight into the block's plane bank for later stages to read (a stage
-// whose slots read the primary columns in order — every layout program —
-// skips the gather and reads the bank). Only the last stage (every stage,
-// for evaluate_all_bits) is unpacked to bytes.
+// straight into the block's plane bank for later stages to read. Only the
+// last stage (every stage, for evaluate_all_bits) is unpacked to bytes.
 //
 // The plane entry runs a stage plan's f32 run and f64 rescue run in one
 // call, so per-stage precision and block-f32 are honoured without a
@@ -216,9 +214,6 @@ class EvalProgram {
     std::shared_ptr<const sw::core::DataParallelGate> gate;  ///< the layout
     std::shared_ptr<const EvalPlan> plan;
     std::vector<PlaneSource> sources;  ///< one per plan slot
-    /// Slot i reads primary column i unflipped (every layout program): the
-    /// kernel reads the bank's primary planes with no gather.
-    bool reads_primary = false;
   };
 
   /// Appends the stage for spec_.stages[stages_.size()], resolving its
@@ -250,7 +245,7 @@ class EvalProgram {
   ProgramSpec spec_;
   std::vector<Stage> stages_;
   std::size_t depth_ = 0;
-  std::size_t max_slots_ = 0;  ///< widest gathered stage (gather scratch)
+  std::size_t max_slots_ = 0;
   std::size_t num_designs_ = 0;
   mutable sw::util::ThreadPool pool_;
 };

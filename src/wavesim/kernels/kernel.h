@@ -40,9 +40,10 @@
 //     entries). On a one-stage program it is most of the plane path's
 //     overhead over the byte entries, so it is a kernel entry: the scalar
 //     kernel packs 8 words x 8 columns per SWAR tile (the reference),
-//     AVX-512 ORs each word's nonzero-column mask (one masked byte load +
-//     byte test, the idiom of its byte entries' mask build) into 64-bit
-//     plane lanes, and AVX2 reuses the scalar pack.
+//     AVX2 builds the same tiles 32 columns wide and byte-transposes eight
+//     of them into 64-bit planes, and AVX-512 ORs each word's
+//     nonzero-column mask (one masked byte load + byte test, the idiom of
+//     its byte entries' mask build) into 64-bit plane lanes.
 //
 //   * eval_planes — the ONE plane entry: decodes num_groups whole groups
 //     over the plan's f32 run [0, plan.num_f32_detectors()) and then its
@@ -187,11 +188,6 @@ void eval_bits_f32_scalar_range(const EvalPlan& plan,
                                 const std::uint8_t* bits, std::size_t begin,
                                 std::size_t end, std::uint8_t* out,
                                 std::size_t d_begin, std::size_t d_end);
-
-/// The scalar kernel's pack_planes, which the AVX2 kernel shares.
-void pack_planes_scalar(const std::uint8_t* rows, std::size_t cols,
-                        std::size_t num_words, std::size_t num_groups,
-                        std::uint64_t* planes);
 }  // namespace detail
 
 /// Kernel by name (any dispatch-table entry: "scalar" | "avx2" |

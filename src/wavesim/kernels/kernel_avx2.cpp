@@ -26,7 +26,9 @@
 // planes: a broadcast plane shifted left by a per-lane count (vpsllvq /
 // vpsllvd) lands lane l's bit in that lane's sign bit, which is all the
 // blends read — one shift per lane group instead of a byte transpose.
-// Its pack_planes entry is the scalar kernel's SWAR pack.
+// Its pack_planes entry builds the scalar pack's 8-word tiles 32 columns
+// at a time (a byte compare per word) and turns a group's eight tiles into
+// planes with the unpack 8/16/32 byte transpose.
 //
 // This translation unit is compiled with -mavx2 (CMake adds the flag only
 // for this file when the compiler supports it and the target is x86); every
@@ -415,6 +417,77 @@ void eval_planes_avx2(const EvalPlan& plan, const std::uint64_t* in,
   eval_planes_f64_avx2(plan, in, num_groups, out, kf, plan.num_detectors());
 }
 
+/// pack_planes, per 64-word group and 32-column chunk at c0: byte c of
+/// tile b holds column c0 + c's bits of words 8 b .. 8 b + 7 (bit k = word
+/// 8 b + k), so plane c0 + c is bytes T0[c] .. T7[c] — an 8 x 32 byte
+/// transpose, done within 128-bit lanes by three unpack rounds.
+void pack_planes_avx2(const std::uint8_t* rows, std::size_t cols,
+                      std::size_t num_words, std::size_t num_groups,
+                      std::uint64_t* planes) {
+  const std::size_t total = num_words * cols;
+  const __m256i zero = _mm256_setzero_si256();
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    const std::size_t w0 = g * kPlaneWords;
+    const std::size_t count =
+        w0 < num_words ? std::min(kPlaneWords, num_words - w0) : 0;
+    for (std::size_t c0 = 0; c0 < cols; c0 += 32) {
+      const std::size_t width = std::min<std::size_t>(32, cols - c0);
+      __m256i t[8];
+      for (std::size_t b = 0; b < 8; ++b) {
+        __m256i acc = zero;
+        for (std::size_t k = 0; 8 * b + k < count && k < 8; ++k) {
+          const std::size_t at = (w0 + 8 * b + k) * cols + c0;
+          __m256i bytes;
+          if (at + 32 <= total) {
+            // Columns past c0 + width are the next row's: never stored.
+            bytes = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i*>(rows + at));
+          } else {
+            alignas(32) std::uint8_t last[32] = {};
+            std::copy_n(rows + at, width, last);
+            bytes = _mm256_load_si256(reinterpret_cast<const __m256i*>(last));
+          }
+          const __m256i bit = _mm256_set1_epi8(static_cast<char>(1 << k));
+          acc = _mm256_or_si256(
+              acc, _mm256_andnot_si256(_mm256_cmpeq_epi8(bytes, zero), bit));
+        }
+        t[b] = acc;
+      }
+      // Lane h of a vector holds columns 16 h .. 16 h + 15 throughout.
+      const __m256i a0 = _mm256_unpacklo_epi8(t[0], t[1]);
+      const __m256i a1 = _mm256_unpackhi_epi8(t[0], t[1]);
+      const __m256i a2 = _mm256_unpacklo_epi8(t[2], t[3]);
+      const __m256i a3 = _mm256_unpackhi_epi8(t[2], t[3]);
+      const __m256i a4 = _mm256_unpacklo_epi8(t[4], t[5]);
+      const __m256i a5 = _mm256_unpackhi_epi8(t[4], t[5]);
+      const __m256i a6 = _mm256_unpacklo_epi8(t[6], t[7]);
+      const __m256i a7 = _mm256_unpackhi_epi8(t[6], t[7]);
+      const __m256i b0 = _mm256_unpacklo_epi16(a0, a2);
+      const __m256i b1 = _mm256_unpackhi_epi16(a0, a2);
+      const __m256i b2 = _mm256_unpacklo_epi16(a1, a3);
+      const __m256i b3 = _mm256_unpackhi_epi16(a1, a3);
+      const __m256i b4 = _mm256_unpacklo_epi16(a4, a6);
+      const __m256i b5 = _mm256_unpackhi_epi16(a4, a6);
+      const __m256i b6 = _mm256_unpacklo_epi16(a5, a7);
+      const __m256i b7 = _mm256_unpackhi_epi16(a5, a7);
+      // Vector i's 64-bit element e is column 2 i + (e & 1) + 16 (e >> 1).
+      alignas(32) std::uint64_t lanes[32];
+      const __m256i out[8] = {
+          _mm256_unpacklo_epi32(b0, b4), _mm256_unpackhi_epi32(b0, b4),
+          _mm256_unpacklo_epi32(b1, b5), _mm256_unpackhi_epi32(b1, b5),
+          _mm256_unpacklo_epi32(b2, b6), _mm256_unpackhi_epi32(b2, b6),
+          _mm256_unpacklo_epi32(b3, b7), _mm256_unpackhi_epi32(b3, b7)};
+      for (std::size_t i = 0; i < 8; ++i) {
+        _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4 * i), out[i]);
+      }
+      for (std::size_t j = 0; j < width; ++j) {
+        planes[(c0 + j) * num_groups + g] =
+            lanes[4 * ((j & 15) >> 1) + (j & 1) + 2 * (j >> 4)];
+      }
+    }
+  }
+}
+
 void eval_channels_avx2(const EvalPlan& plan, const std::uint8_t* bits,
                         std::size_t begin, std::size_t end,
                         sw::core::ChannelResult* out) {
@@ -505,7 +578,7 @@ const Kernel* detail::avx2_kernel_candidate() {
                                  &eval_bits_f32_avx2,
                                  &eval_bits_mixed_avx2,
                                  &eval_planes_avx2,
-                                 &detail::pack_planes_scalar,
+                                 &pack_planes_avx2,
                                  &eval_channels_avx2};
   return &kernel;
 }

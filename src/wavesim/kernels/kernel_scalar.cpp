@@ -112,11 +112,9 @@ std::uint64_t nonzero_bytes(std::uint64_t x) {
   return ((((x & kLow7) + kLow7) | x) >> 7) & 0x0101010101010101ull;
 }
 
-}  // namespace
-
-void detail::pack_planes_scalar(const std::uint8_t* rows, std::size_t cols,
-                                std::size_t num_words, std::size_t num_groups,
-                                std::uint64_t* planes) {
+void pack_planes_scalar(const std::uint8_t* rows, std::size_t cols,
+                        std::size_t num_words, std::size_t num_groups,
+                        std::uint64_t* planes) {
   std::fill_n(planes, cols * num_groups, std::uint64_t{0});
   // 8 words x 8 columns at a time: byte j of `tile` collects column
   // c0 + j's bits of the eight words, which is one byte of that plane.
@@ -138,8 +136,6 @@ void detail::pack_planes_scalar(const std::uint8_t* rows, std::size_t cols,
     }
   }
 }
-
-namespace {
 
 void eval_bits_scalar(const EvalPlan& plan, const std::uint8_t* bits,
                       std::size_t begin, std::size_t end, std::uint8_t* out) {
@@ -251,7 +247,7 @@ const Kernel& scalar_kernel() {
                                  &eval_bits_f32_scalar,
                                  &eval_bits_mixed_scalar,
                                  &eval_planes_scalar,
-                                 &detail::pack_planes_scalar,
+                                 &pack_planes_scalar,
                                  &eval_channels_scalar};
   return kernel;
 }

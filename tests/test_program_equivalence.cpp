@@ -250,10 +250,10 @@ TEST(ProgramEquivalence, RandomProgramsMatchTheStagedOracle) {
   EXPECT_TRUE(saw_negated);
 }
 
-TEST(ProgramEquivalence, InOrderPrimaryStagesMatchTheStagedOracle) {
-  // A stage whose slots read the primary columns in order, unflipped, is
-  // evaluated straight from the plane bank (every layout program is one);
-  // a negated slot, a swapped pair or a constant must take the gather.
+TEST(ProgramEquivalence, PrimarySlotVariantsMatchTheStagedOracle) {
+  // A stage whose slots read the primary columns in order, unflipped (the
+  // shape of every layout program), and its variants with a negated slot,
+  // a swapped pair or a constant all gather to the oracle's inputs.
   // (MAJ is symmetric, so the swap crosses channels to change the bits.)
   const Fixture fix;
   std::mt19937 rng(77);

@@ -1006,7 +1006,7 @@ std::vector<sw::obs::Phase> trace_phases(const sw::obs::TraceContext& trace) {
 TEST(EvaluatorService, LayoutRequestsKeepTheirTracePhases) {
   // A layout runs as a one-stage program, but its trace is a gate's:
   // admission, lookup, (build on a miss), queue, kernel — no kStage child
-  // span. A real cascade gets one kStage span per stage.
+  // span. A ProgramSpec gets one kStage span per stage, one-stage too.
   using sw::obs::Phase;
   const ServeFixture fix;
   EvaluatorService svc(fix.model, fix.wg.material.alpha);
@@ -1023,17 +1023,35 @@ TEST(EvaluatorService, LayoutRequestsKeepTheirTracePhases) {
   want.erase(want.begin() + 3);  // a hit builds nothing
   EXPECT_EQ(trace_phases(warm.trace), want);
 
+  const auto count_stage_spans = [](const ResultBatch& out) {
+    std::size_t spans = 0;
+    for (const Phase phase : trace_phases(out.trace)) {
+      spans += phase == Phase::kStage ? 1 : 0;
+    }
+    return spans;
+  };
   const auto program = synthesize_program(0x1B, 3, 4);
   ASSERT_GE(program.num_stages(), 2u);
   const auto cascade =
       svc.submit(EvalRequest::for_program(
                      program, random_matrix(70, 12, /*seed=*/72), 70))
           .get();
-  std::size_t stage_spans = 0;
-  for (const Phase phase : trace_phases(cascade.trace)) {
-    stage_spans += phase == Phase::kStage ? 1 : 0;
+  EXPECT_EQ(count_stage_spans(cascade), program.num_stages());
+
+  // The one-stage program over the layout's GateSpec, as a v3 frame
+  // would carry it.
+  sw::wavesim::ProgramSpec single;
+  single.num_primary_inputs = layout.spec.num_inputs;
+  sw::wavesim::StageSpec stage{layout.spec, {}};
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    stage.sources.push_back(
+        {sw::wavesim::SlotSource::Kind::kPrimary, 0, i, false});
   }
-  EXPECT_EQ(stage_spans, program.num_stages());
+  single.stages.push_back(stage);
+  const auto one_stage =
+      svc.submit(EvalRequest::for_program(single, matrix, 70)).get();
+  EXPECT_EQ(one_stage.num_stages, 1u);
+  EXPECT_EQ(count_stage_spans(one_stage), 1u);
 }
 
 }  // namespace
