@@ -295,12 +295,18 @@ void run_kernel_experiment(bench::BenchJson& json) {
     });
     SW_REQUIRE(f32_simd_bits == scalar_bits,
                "f32 AVX2 decode diverged from the f64 decode");
+    // The floor is gated on the median ratio of alternating f64/f32 pairs,
+    // not on the two best-of-three rows: each sweep takes ~1-2 ms, so one
+    // stall in either side's three windows can flip a best-of ratio.
+    const double f32_over_f64 = bench::median_paired_ratio(
+        [&] { (void)evaluator.evaluate_bits(num_words, packed, *avx2); },
+        [&] { (void)evaluator_f32.evaluate_bits(num_words, packed, *avx2); });
     std::printf("AVX2 SoA f32         : %8.1f ms  (%10.0f words/s, %.2fx, "
-                "%.2fx over f64 AVX2)\n",
+                "%.2fx over f64 AVX2, median of paired runs)\n",
                 f32_simd_s * 1e3, words / f32_simd_s, aos_s / f32_simd_s,
-                simd_s / f32_simd_s);
+                f32_over_f64);
     json.add("exhaustive_2^16_sweep", "avx2", "f32", words / f32_simd_s);
-    SW_REQUIRE(simd_s / f32_simd_s >= 1.5,
+    SW_REQUIRE(f32_over_f64 >= 1.5,
                "f32 AVX2 kernel below 1.5x the f64 AVX2 kernel");
     f32_avx2_s = f32_simd_s;
   } else {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -101,6 +102,38 @@ inline double best_of_three_seconds(const Fn& fn) {
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
   }
   return best;
+}
+
+/// Median over 15 back-to-back timings of `a` and `b` of the per-pair ratio
+/// seconds(a) / seconds(b), alternating which of the two runs first.
+/// For a floor on the ratio of two short sweeps: both sides of a pair see
+/// the same momentary machine load, so a noisy-neighbour stall moves one
+/// pair rather than the one window a best-of-N timing of either side
+/// happened to catch.
+template <typename FnA, typename FnB>
+inline double median_paired_ratio(const FnA& a, const FnB& b) {
+  constexpr int kPairs = 15;
+  using clock = std::chrono::steady_clock;
+  const auto seconds = [](const auto& fn) {
+    const auto t0 = clock::now();
+    fn();
+    return std::chrono::duration<double>(clock::now() - t0).count();
+  };
+  std::vector<double> ratios;
+  for (int p = 0; p < kPairs; ++p) {
+    double a_s = 0.0, b_s = 0.0;
+    if (p % 2 == 0) {
+      a_s = seconds(a);
+      b_s = seconds(b);
+    } else {
+      b_s = seconds(b);
+      a_s = seconds(a);
+    }
+    ratios.push_back(a_s / b_s);
+  }
+  auto mid = ratios.begin() + static_cast<std::ptrdiff_t>(ratios.size() / 2);
+  std::nth_element(ratios.begin(), mid, ratios.end());
+  return *mid;
 }
 
 /// Pretty "I1=0, I2=1, I3=0"-style label for a pattern.

@@ -277,11 +277,12 @@ void run_experiment(bench::BenchJson& json) {
   std::printf("unix-domain socket   : %8.1f ms  (%10.0f words/s, %.2fx "
               "in-process)\n\n",
               unix_s * 1e3, words / unix_s, inprocess_s / unix_s);
-  std::printf("service latency (recent window): p50 %.0f us, p95 %.0f us, "
-              "p99 %.0f us over %llu request(s)\n\n",
-              stats.latency.p50_s * 1e6, stats.latency.p95_s * 1e6,
-              stats.latency.p99_s * 1e6,
-              static_cast<unsigned long long>(stats.latency.count));
+  const auto& latency = stats.request_latency;
+  std::printf("service latency (since start, bucket upper bounds): p50 "
+              "%.0f us, p95 %.0f us, p99 %.0f us over %llu request(s)\n\n",
+              latency.quantile(0.50) * 1e6, latency.quantile(0.95) * 1e6,
+              latency.quantile(0.99) * 1e6,
+              static_cast<unsigned long long>(latency.count));
 
   json.add("inprocess_pipelined", stats.kernel, stats.precision,
            words / inprocess_s);

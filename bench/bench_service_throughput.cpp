@@ -201,16 +201,17 @@ void run_experiment(bench::BenchJson& json) {
               static_cast<unsigned long long>(stats.cache.misses),
               static_cast<unsigned long long>(stats.cache.evictions),
               static_cast<unsigned long long>(stats.completed));
-  // Tail latency over the recent-request window (the metrics endpoint
-  // serves the same numbers as sw_serve_latency_p*_seconds).
+  // Tail latency since start, read off the request-latency histogram (the
+  // metrics endpoint serves the same numbers as sw_serve_latency_*):
+  // percentiles and max are nearest-rank bucket upper bounds.
   const auto latest = svc.stats();
+  const auto& latency = latest.request_latency;
   std::printf("latency: p50 %.0f us / p95 %.0f us / p99 %.0f us / "
-              "mean %.0f us / max %.0f us over the last <=1024 of %llu "
-              "request(s)\n",
-              latest.latency.p50_s * 1e6, latest.latency.p95_s * 1e6,
-              latest.latency.p99_s * 1e6, latest.latency.mean_s * 1e6,
-              latest.latency.max_s * 1e6,
-              static_cast<unsigned long long>(latest.latency.count));
+              "mean %.0f us / max %.0f us over %llu request(s)\n",
+              latency.quantile(0.50) * 1e6, latency.quantile(0.95) * 1e6,
+              latency.quantile(0.99) * 1e6, latency.mean() * 1e6,
+              latency.quantile(1.0) * 1e6,
+              static_cast<unsigned long long>(latency.count));
   // Phase breakdown from the service's always-on histograms: where a
   // request's lifetime actually went, in the same shape the metrics
   // endpoint exposes — and folded into the bench artifact so the

@@ -32,12 +32,15 @@ std::string render_service_metrics(const sw::serve::ServiceStats& stats) {
   line_u64(out, "sw_serve_requests_blocked", stats.blocked);
   line_u64(out, "sw_serve_queued_requests", stats.queued_requests);
   line_u64(out, "sw_serve_inflight_words", stats.inflight_words);
-  line_u64(out, "sw_serve_latency_count", stats.latency.count);
-  line_f64(out, "sw_serve_latency_p50_seconds", stats.latency.p50_s);
-  line_f64(out, "sw_serve_latency_p95_seconds", stats.latency.p95_s);
-  line_f64(out, "sw_serve_latency_p99_seconds", stats.latency.p99_s);
-  line_f64(out, "sw_serve_latency_mean_seconds", stats.latency.mean_s);
-  line_f64(out, "sw_serve_latency_max_seconds", stats.latency.max_s);
+  // Since-start request latency read off the histogram below: each
+  // percentile (and max) is the upper bound of its nearest-rank bucket.
+  const sw::obs::HistogramSnapshot& latency = stats.request_latency;
+  line_u64(out, "sw_serve_latency_count", latency.count);
+  line_f64(out, "sw_serve_latency_p50_seconds", latency.quantile(0.50));
+  line_f64(out, "sw_serve_latency_p95_seconds", latency.quantile(0.95));
+  line_f64(out, "sw_serve_latency_p99_seconds", latency.quantile(0.99));
+  line_f64(out, "sw_serve_latency_mean_seconds", latency.mean());
+  line_f64(out, "sw_serve_latency_max_seconds", latency.quantile(1.0));
   line_u64(out, "sw_serve_plan_cache_hits", stats.cache.hits);
   line_u64(out, "sw_serve_plan_cache_misses", stats.cache.misses);
   line_u64(out, "sw_serve_plan_cache_evictions", stats.cache.evictions);
@@ -66,7 +69,7 @@ std::string render_service_metrics(const sw::serve::ServiceStats& stats) {
                ? static_cast<double>(stats.cache.f32_detectors) / mix_total
                : 0.0);
   // The phase histograms: full distributions a scraper can rate() and
-  // aggregate, next to the windowed percentiles above.
+  // aggregate.
   sw::obs::append_histogram(out, "sw_serve_request_latency_seconds",
                             stats.request_latency);
   sw::obs::append_histogram(out, "sw_serve_admission_wait_seconds",

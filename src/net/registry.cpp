@@ -237,8 +237,12 @@ void RegistryServer::stop() {
     threads.swap(threads_);
   }
   shutdown_cv_.notify_all();
-  listener_.close();
+  // Wake, join, then close: the accept thread reads the listener's
+  // descriptor until it returns, so releasing it first would race that
+  // read and could hand the number to another socket under its poll.
+  listener_.wake();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.close();
   for (std::thread& t : threads) {
     if (t.joinable()) t.join();
   }

@@ -358,7 +358,7 @@ std::optional<Connection> Listener::accept(
   if (fd < 0) {
     if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
         errno == ECONNABORTED || errno == EINVAL || errno == EBADF) {
-      // EINVAL/EBADF: the listener was closed under us during shutdown.
+      // EINVAL: wake() shut the listener down; EBADF: it was closed.
       return std::nullopt;
     }
     throw sw::util::Error("accept failed: " + errno_text());
@@ -367,11 +367,13 @@ std::optional<Connection> Listener::accept(
   return Connection(fd);
 }
 
+void Listener::wake() noexcept {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::close() noexcept {
   if (fd_ >= 0) {
-    // Wake any thread parked in accept()'s poll before the descriptor is
-    // released: close(2) alone does not interrupt a concurrent poll, and
-    // the number could be reused under the sleeping thread.
+    // close(2) alone does not interrupt a concurrent poll.
     ::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
     fd_ = -1;

@@ -143,7 +143,15 @@ class Listener {
   /// listener-level failure.
   std::optional<Connection> accept(std::chrono::milliseconds timeout);
 
-  /// Idempotent; unblocks a concurrent accept() via shutdown(2).
+  /// Wakes a thread parked in accept() (which then returns nullopt) via
+  /// shutdown(2), without releasing the descriptor: a stopping owner calls
+  /// this, joins its accept thread, and only then close()s, so neither
+  /// fd_ nor the descriptor number changes under a running accept().
+  void wake() noexcept;
+
+  /// Idempotent; unblocks a concurrent accept() via shutdown(2). Releases
+  /// the descriptor, so it must not race an accept() on another thread —
+  /// wake() and join that thread first.
   void close() noexcept;
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 
 #include "util/error.h"
@@ -13,6 +14,25 @@ std::uint64_t HistogramSnapshot::cumulative(std::size_t bound_index) const {
   const std::size_t last = std::min(bound_index, counts.size() - 1);
   for (std::size_t i = 0; i <= last; ++i) total += counts[i];
   return total;
+}
+
+double HistogramSnapshot::quantile(double q) const {
+  // Rank against the bucket total, not `count`: the two are separate
+  // relaxed loads, and the walk below must find the rank it was given.
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : counts) total += c;
+  if (total == 0 || bounds.empty()) return 0.0;
+  // An exact ceil: a `q * n + 0.999999` pseudo-ceil mis-ranks whenever the
+  // product lands within 1e-6 above an integer.
+  auto rank = static_cast<std::uint64_t>(
+      std::ceil(q * static_cast<double>(total)));
+  rank = std::clamp<std::uint64_t>(rank, 1, total);
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    seen += counts[i];
+    if (seen >= rank) return bounds[i];
+  }
+  return bounds.back();
 }
 
 Histogram::Histogram(double first_bound, double growth,

@@ -1,15 +1,16 @@
 // Log-bucketed histograms for the observability subsystem.
 //
-// A serving system needs distributions, not just point percentiles: the
-// latency reservoir answers "what is p99 right now", but only a histogram
-// answers "how many requests landed between 100µs and 1ms since start" —
-// the shape a Prometheus scraper can rate(), aggregate across hosts, and
-// alert on. obs::Histogram keeps a fixed ladder of log-spaced bucket
-// bounds chosen at construction and counts records with one relaxed
-// atomic increment per observation — no locks, no allocation, safe to hit
-// from every worker thread on the request hot path. Snapshots copy the
-// counters; rendering emits the Prometheus exposition triple
-// (`_bucket{le="…"}` cumulative counts, `_sum`, `_count`).
+// A serving system needs distributions, not just point percentiles: a
+// histogram answers "how many requests landed between 100µs and 1ms since
+// start" — the shape a Prometheus scraper can rate(), aggregate across
+// hosts, and alert on — and still answers "what is p99" to within one
+// bucket (HistogramSnapshot::quantile). obs::Histogram keeps a fixed
+// ladder of log-spaced bucket bounds chosen at construction and counts
+// records with one relaxed atomic increment per observation — no locks,
+// no allocation, safe to hit from every worker thread on the request hot
+// path. Snapshots copy the counters; rendering emits the Prometheus
+// exposition triple (`_bucket{le="…"}` cumulative counts, `_sum`,
+// `_count`).
 #pragma once
 
 #include <atomic>
@@ -34,6 +35,14 @@ struct HistogramSnapshot {
   std::uint64_t cumulative(std::size_t bound_index) const;
   /// Mean of all observations (0 before the first record).
   double mean() const { return count > 0 ? sum / static_cast<double>(count) : 0.0; }
+  /// Nearest-rank quantile, q in [0, 1]: the upper bound of the bucket
+  /// holding observation ceil(q * n) in sorted order (rank clamped to
+  /// [1, n]; quantile(1.0) bounds the maximum). On a doubling ladder the
+  /// result lies in [true value, 2 x true value) — exact at a bucket's
+  /// upper bound; values up to the first bound report the first bound. A
+  /// rank in the +Inf bucket reports the last finite bound. 0 before the
+  /// first record.
+  double quantile(double q) const;
 };
 
 class Histogram {

@@ -85,7 +85,6 @@ EvaluatorService::EvaluatorService(const sw::disp::DispersionModel& model,
       cache_(engine_, options_.plan_cache_capacity,
              options_.evaluator_options, &designer_),
       admission_(options_.admission),
-      latency_(options_.latency_window),
       trace_recorder_(options_.trace_capacity),
       pool_(options_.num_threads, /*always_spawn=*/true) {
   trace_recorder_.set_slow_threshold(options_.slow_request_threshold_s);
@@ -259,7 +258,6 @@ void EvaluatorService::process(Request* raw) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     request->submitted_at)
           .count();
-  latency_.record(latency_s);
   request_latency_hist_.record(latency_s);
   if (options_.on_request_finish) {
     options_.on_request_finish(request->id, latency_s);
@@ -298,7 +296,6 @@ ServiceStats EvaluatorService::stats() const {
   s.kernel = std::string(sw::wavesim::active_kernel_name());
   s.precision = std::string(
       sw::wavesim::precision_name(options_.evaluator_options.precision));
-  s.latency = latency_.summary();
   s.cache = cache_.stats();
   s.request_latency = request_latency_hist_.snapshot();
   s.admission_wait = admission_wait_hist_.snapshot();

@@ -35,7 +35,6 @@
 #include "obs/trace.h"
 #include "serve/admission.h"
 #include "serve/eval_request.h"
-#include "serve/latency.h"
 #include "serve/plan_cache.h"
 #include "util/thread_pool.h"
 #include "wavesim/wave_engine.h"
@@ -63,13 +62,10 @@ struct ServiceOptions {
   std::function<void(std::uint64_t request_id)> on_request_start;
   /// Completion hook: called on the worker thread once a request has fully
   /// settled (accounting released, success or failure alike), with its
-  /// submit-to-completion latency. The same latency feeds the built-in
-  /// percentile reservoir whether or not a hook is installed.
+  /// submit-to-completion latency. The same latency feeds
+  /// ServiceStats::request_latency whether or not a hook is installed.
   std::function<void(std::uint64_t request_id, double latency_seconds)>
       on_request_finish;
-  /// Window of recent request latencies backing ServiceStats::latency
-  /// (p50/p95/p99 over the most recent `latency_window` requests).
-  std::size_t latency_window = 1024;
   /// Settled traces kept in the service's TraceRecorder ring (what the
   /// trace endpoint answers with).
   std::size_t trace_capacity = 256;
@@ -121,14 +117,12 @@ struct ServiceStats {
   /// precision == "f32" with f64_rescue_detectors > 0 reads "asked for
   /// f32, some detectors were rescued to f64 lanes".
   std::string precision;
-  /// Submit-to-completion latency percentiles over the recent-request
-  /// window (ServiceOptions::latency_window); the metrics endpoint and the
-  /// serving benches read these.
-  LatencySummary latency;
   PlanCacheStats cache;
   /// Since-start distributions (log-bucketed, Prometheus-renderable):
   /// submit-to-settle latency, admission wait, queue wait, kernel
   /// execution — all seconds — plus the admitted batch sizes in words.
+  /// request_latency also backs the sw_serve_latency_* percentiles and
+  /// what the serving benches print (HistogramSnapshot::quantile / mean).
   sw::obs::HistogramSnapshot request_latency;
   sw::obs::HistogramSnapshot admission_wait;
   sw::obs::HistogramSnapshot queue_wait;
@@ -203,7 +197,6 @@ class EvaluatorService {
   sw::core::InlineGateDesigner designer_;
   PlanCache cache_;
   AdmissionController admission_;
-  LatencyReservoir latency_;
   sw::obs::TraceRecorder trace_recorder_;
   sw::obs::Histogram request_latency_hist_ = sw::obs::Histogram::for_seconds();
   sw::obs::Histogram admission_wait_hist_ = sw::obs::Histogram::for_seconds();

@@ -143,21 +143,11 @@ std::vector<std::uint8_t> BatchEvaluator::evaluate_bits(
   SW_REQUIRE(bits.size() == num_words * stride,
              "packed bit matrix must be num_words x slot_count");
 
-  // Three-way dispatch on the plan's per-detector margin verdicts: every
-  // detector proved -> the pure f32 entry; a genuine mix -> the block-f32
-  // entry (f32 run + f64 rescue lanes); none proved (or f64 requested) ->
-  // the double entry. All three decode bit-identically by construction.
-  const bool f32 = plan_->has_f32();
-  const bool block = plan_->is_block();
+  // No precision dispatch: the kernel runs the plan's f32 run and then its
+  // f64 run, either of which may be empty.
   std::vector<std::uint8_t> out(num_words * channels);
   pool_.parallel_for(num_words, [&](std::size_t begin, std::size_t end) {
-    if (f32) {
-      kernel.eval_bits_f32(*plan_, bits.data(), begin, end, out.data());
-    } else if (block) {
-      kernel.eval_bits_mixed(*plan_, bits.data(), begin, end, out.data());
-    } else {
-      kernel.eval_bits(*plan_, bits.data(), begin, end, out.data());
-    }
+    kernel.eval_bits(*plan_, bits.data(), begin, end, out.data());
   });
   return out;
 }

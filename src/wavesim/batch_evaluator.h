@@ -19,11 +19,13 @@
 // f64) asks for the single-precision plan variant on the packed
 // evaluate_bits path — twice the words per register — which the plan
 // grants *per detector* after its build-time margin analysis proves no
-// decode can flip (see EvalPlan): all proved runs the pure f32 kernel
-// entry, a mix runs the block-f32 entry (f32 for the proved run, f64
-// rescue lanes for the rest), none proved transparently runs the double
-// arrays and effective_precision() says so. The ChannelResult paths always
-// accumulate in double: phase/amplitude/margin are analog readouts.
+// decode can flip (see EvalPlan). The proved detectors form the plan's f32
+// run and the rest its f64 run; evaluate_bits hands the plan to the
+// kernel's one eval_bits entry, which decodes both runs (either may be
+// empty), so it makes no precision branch. With none proved the plan is
+// the double plan and effective_precision() says so. The ChannelResult
+// paths always accumulate in double: phase/amplitude/margin are analog
+// readouts.
 #pragma once
 
 #include <cstdint>

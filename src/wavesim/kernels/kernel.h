@@ -1,24 +1,27 @@
 // Runtime-dispatched evaluation kernels over SoA EvalPlans.
 //
-// A kernel decodes input words against a frozen EvalPlan. Six entry
-// points per kernel, in two input representations:
+// A kernel decodes input words against a frozen EvalPlan. Four entry
+// points per kernel, in two input representations. The two thresholded
+// bit entries (eval_bits, eval_planes) take the plan's precision split as
+// data, not as a dispatch: detectors [0, plan.num_f32_detectors()) — the
+// f32 run — accumulate in f32 over the plan's float mirrors, then
+// detectors [plan.num_f32_detectors(), plan.num_detectors()) — the f64
+// run — in f64 over the double arrays. Either run may be empty (an f64
+// plan has no f32 run, a fully-proved f32 plan no f64 run), so callers
+// never branch on precision.
 //
 // Byte matrices (BatchEvaluator, the library's direct single-layout
 // path): a contiguous range of row-major packed words, one byte per input
 // slot.
 //
 //   * eval_bits — the packed fast path: for each word and detector it
-//     accumulates the bit-selected phasor real parts in double and
-//     thresholds (the decide_phase decision with reference 0 is exactly
-//     Re < 0).
-//   * eval_bits_f32 — the same decode over the plan's float arrays, legal
-//     only on a plan whose build-time margin analysis accepted every
-//     detector (plan.has_f32()); decodes are bit-identical to eval_bits on
-//     every such plan by construction of the fallback.
-//   * eval_bits_mixed — the block-f32 path: f32 accumulation for the
-//     plan's proved detector run [0, plan.num_f32_detectors()), f64 rescue
-//     lanes for the rest. Two branch-free sub-passes, no per-detector
-//     precision branch; legal whenever plan.num_f32_detectors() > 0.
+//     accumulates the bit-selected phasor real parts and thresholds (the
+//     decide_phase decision with reference 0 is exactly Re < 0). Each
+//     vector kernel makes one selection on the plan: with
+//     num_f32_detectors() == 0 it runs an f64-width pass (4 words per
+//     AVX2 register, 8 per AVX-512 register); otherwise one fused pass at
+//     f32 width whose lane masks serve both runs (the f64 run's loop is
+//     empty on a fully-proved plan).
 //   * eval_channels — the full ChannelResult path (evaluate /
 //     evaluate_with): accumulates the complex phasor in double and decodes
 //     phase/amplitude/margin via decide_phase, writing rows of
@@ -37,20 +40,19 @@
 //
 //   * pack_planes — the byte-to-plane edge: turns a row-major byte matrix
 //     into column planes (any nonzero byte is a 1, as in the byte
-//     entries). On a one-stage program it is most of the plane path's
-//     overhead over the byte entries, so it is a kernel entry: the scalar
+//     entry). On a one-stage program it is most of the plane path's
+//     overhead over the byte entry, so it is a kernel entry: the scalar
 //     kernel packs 8 words x 8 columns per SWAR tile (the reference),
 //     AVX2 builds the same tiles 32 columns wide and byte-transposes eight
 //     of them into 64-bit planes, and AVX-512 ORs each word's
 //     nonzero-column mask (one masked byte load + byte test, the idiom of
-//     its byte entries' mask build) into 64-bit plane lanes.
+//     eval_bits' mask build) into 64-bit plane lanes.
 //
 //   * eval_planes — the ONE plane entry: decodes num_groups whole groups
 //     over the plan's f32 run [0, plan.num_f32_detectors()) and then its
 //     f64 run [plan.num_f32_detectors(), plan.num_detectors()), either of
 //     which may be empty. With no precision dispatch at the call site it
-//     decodes exactly like eval_bits on an f64 plan, eval_bits_f32 on a
-//     fully-proved plan and eval_bits_mixed on a block plan. Lane widths
+//     decodes exactly like eval_bits on every plan. Lane widths
 //     (4/8/16) divide 64, so there is no scalar tail: every lane of every
 //     group is decoded, and lanes past the caller's last word decode
 //     whatever the input planes hold there — callers drop them on unpack.
@@ -61,7 +63,7 @@
 // kernel (eight words per 512-bit register in double, sixteen in f32).
 // Both vector kernels evaluate lane-for-lane in the scalar accumulation
 // order, so every entry point decodes bit-for-bit identically to its
-// scalar counterpart.
+// scalar counterpart, whichever pass a vector kernel selects.
 //
 // Selection happens once per process on first use: the SW_EVAL_KERNEL
 // environment variable overrides (accepted values are exactly the kernel
@@ -98,22 +100,11 @@ struct Kernel {
   /// num_words x plan.slot_count() packed bit matrix `bits` and writes rows
   /// [begin, end) of the num_words x plan.num_channels() decoded-bit matrix
   /// `out`. Both pointers address the full matrices (row 0), not the range.
+  /// The f32 run [0, plan.num_f32_detectors()) accumulates in f32 over the
+  /// plan's float mirrors, then the f64 run in f64 over the double arrays;
+  /// either run may be empty, so this is legal on every plan.
   void (*eval_bits)(const EvalPlan& plan, const std::uint8_t* bits,
                     std::size_t begin, std::size_t end, std::uint8_t* out);
-  /// Same contract over the plan's f32 arrays. Callers must check
-  /// plan.has_f32() first; the kernels assume the arrays exist.
-  void (*eval_bits_f32)(const EvalPlan& plan, const std::uint8_t* bits,
-                        std::size_t begin, std::size_t end, std::uint8_t* out);
-  /// Same contract on a block-f32 plan: detectors [0,
-  /// plan.num_f32_detectors()) accumulate in f32 over the plan's float
-  /// mirrors, the remaining rescue detectors in f64 over the double
-  /// arrays. Callers must check plan.num_f32_detectors() > 0 first (the
-  /// float mirrors must exist); on a fully-proved plan this decodes
-  /// exactly like eval_bits_f32, on a fully-rejected plan exactly like
-  /// eval_bits.
-  void (*eval_bits_mixed)(const EvalPlan& plan, const std::uint8_t* bits,
-                          std::size_t begin, std::size_t end,
-                          std::uint8_t* out);
   /// Bit-plane decode of `num_groups` 64-word groups. `in` is slot-major:
   /// in[s * num_groups + g] is input slot s's plane for group g (bit l =
   /// word 64 g + l's bit at that slot). Writes every channel plane of
@@ -121,8 +112,7 @@ struct Kernel {
   /// decoded bit for channel c. Detectors run in plan order — the f32 run
   /// over the plan's float mirrors, then the f64 run over the double
   /// arrays — each writing its channel's plane whole. A channel without a
-  /// detector comes out 0 (like the zeroed rows the byte entries' callers
-  /// pass), and a channel two detectors write keeps the later one's bits.
+  /// detector comes out 0 (like the zeroed rows eval_bits' callers pass), and a channel two detectors write keeps the later one's bits.
   void (*eval_planes)(const EvalPlan& plan, const std::uint64_t* in,
                       std::size_t num_groups, std::uint64_t* out);
   /// Packs rows [0, num_words) of the row-major num_words x cols byte
@@ -174,12 +164,10 @@ const Kernel* avx2_kernel_candidate();
 const Kernel* avx512_kernel_candidate();
 
 /// Scalar reference loops restricted to the plan-order detector range
-/// [d_begin, d_end) — the building blocks of every eval_bits_mixed and of
-/// the vector kernels' odd-word tails (which must finish a sub-pass
-/// without re-decoding the other run's detectors). Same word-range
-/// contract as Kernel::eval_bits; eval_bits_f32_scalar_range reads the
-/// plan's float mirrors, so d_end must not exceed
-/// plan.num_f32_detectors() unless plan.has_f32().
+/// [d_begin, d_end) — the two runs of the scalar eval_bits and the vector
+/// kernels' odd-word tails. Same word-range contract as Kernel::eval_bits;
+/// eval_bits_f32_scalar_range reads the plan's float mirrors, so d_end
+/// must not exceed plan.num_f32_detectors().
 void eval_bits_scalar_range(const EvalPlan& plan, const std::uint8_t* bits,
                             std::size_t begin, std::size_t end,
                             std::uint8_t* out, std::size_t d_begin,

@@ -9,18 +9,17 @@
 // differently, not even one sitting within an ulp of the threshold. The
 // per-group cost beyond the adds is one mask transpose of the group's
 // input slots and a blend per contribution. The same argument covers every
-// entry point: eval_bits (4 x f64), eval_bits_f32 (8 x f32 — twice the
-// words per register and half the constant traffic, which is the whole
-// point of the f32 plan), eval_bits_mixed (one fused pass running the f32
-// detectors at 8 x f32 and the rescue detectors at 4 x f64 over the same
-// lane masks) and eval_channels (4 x f64
-// complex accumulation, then the scalar decide_phase per lane so
-// phase/amplitude/margin match the gate path bitwise).
+// entry point.
 //
-// The bit passes take a detector range so the block-f32 path can run the
-// f32 pass over the proved run and the f64 pass over the rescue run
-// without a per-detector precision branch; their odd-word tails fall to
-// the scalar range helpers, which decode the same sub-range only.
+// eval_bits makes one selection on the plan. An f64 plan (no f32 run)
+// takes the f64-width pass, 4 x f64 per register. Any plan with an f32
+// run takes one fused pass per 8-word group: the f32 run at 8 x f32 —
+// twice the words per register and half the constant traffic, which is the
+// whole point of the f32 plan — and the f64 rescue run at 4 x f64 over the
+// same lane masks (its loop is empty on a fully-proved plan). Odd-word
+// tails fall to the scalar range helpers. eval_channels is 4 x f64 complex
+// accumulation, then the scalar decide_phase per lane so
+// phase/amplitude/margin match the gate path bitwise.
 //
 // The plane entry builds its lane masks straight from the 64-word slot
 // planes: a broadcast plane shifted left by a per-lane count (vpsllvq /
@@ -63,10 +62,10 @@ namespace {
 /// not pay an aligned heap round-trip per call.
 constexpr std::size_t kStackSlots = 64;
 
-void eval_bits_avx2_range(const EvalPlan& plan, const std::uint8_t* bits,
-                          std::size_t begin, std::size_t end,
-                          std::uint8_t* out, std::size_t d_begin,
-                          std::size_t d_end) {
+/// eval_bits on an f64 plan: four words per __m256d.
+void eval_bits_f64_avx2(const EvalPlan& plan, const std::uint8_t* bits,
+                        std::size_t begin, std::size_t end,
+                        std::uint8_t* out) {
   const auto offsets = plan.detector_offsets();
   const auto det_channel = plan.detector_channels();
   const auto re0 = plan.re0();
@@ -74,11 +73,12 @@ void eval_bits_avx2_range(const EvalPlan& plan, const std::uint8_t* bits,
   const auto slots = plan.slots();
   const std::size_t stride = plan.slot_count();
   const std::size_t channels = plan.num_channels();
+  const std::size_t nd = plan.num_detectors();
 
   // Lane masks, one __m256d (four doubles) per input slot: lane l of mask
   // s has its sign bit set iff word l's bit at slot s is 1 (vblendvpd
   // selects on the sign bit alone). Transposed once per group, reused by
-  // every detector range.
+  // every detector.
   alignas(32) double stack_masks[kStackSlots * 4];
   sw::util::AlignedVector<double, 32> heap_masks;
   double* masks_data = stack_masks;
@@ -112,7 +112,7 @@ void eval_bits_avx2_range(const EvalPlan& plan, const std::uint8_t* bits,
     std::uint8_t* r1 = out + (w + 1) * channels;
     std::uint8_t* r2 = out + (w + 2) * channels;
     std::uint8_t* r3 = out + (w + 3) * channels;
-    for (std::size_t d = d_begin; d < d_end; ++d) {
+    for (std::size_t d = 0; d < nd; ++d) {
       __m256d acc = _mm256_setzero_pd();
       for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
         const __m256d zero = _mm256_broadcast_sd(&re0[i]);
@@ -133,100 +133,20 @@ void eval_bits_avx2_range(const EvalPlan& plan, const std::uint8_t* bits,
   }
   // Remainder tail (< 4 words): the scalar reference, which is what the
   // vector lanes reproduce anyway.
-  if (w < end) {
-    detail::eval_bits_scalar_range(plan, bits, w, end, out, d_begin, d_end);
-  }
+  if (w < end) detail::eval_bits_scalar_range(plan, bits, w, end, out, 0, nd);
 }
 
-void eval_bits_f32_avx2_range(const EvalPlan& plan, const std::uint8_t* bits,
-                              std::size_t begin, std::size_t end,
-                              std::uint8_t* out, std::size_t d_begin,
-                              std::size_t d_end) {
-  const auto offsets = plan.detector_offsets();
-  const auto det_channel = plan.detector_channels();
-  const auto re0 = plan.re0_f32();
-  const auto re1 = plan.re1_f32();
-  const auto slots = plan.slots();
-  const std::size_t stride = plan.slot_count();
-  const std::size_t channels = plan.num_channels();
-
-  // Eight 32-bit lanes per mask: lane l's sign bit set iff word l's bit at
-  // that slot is 1 (vblendvps, like vblendvpd, keys on the sign bit).
-  alignas(32) float stack_masks[kStackSlots * 8];
-  sw::util::AlignedVector<float, 32> heap_masks;
-  float* masks_data = stack_masks;
-  if (stride > kStackSlots) {
-    heap_masks.resize(stride * 8);
-    masks_data = heap_masks.data();
-  }
-
-  const std::uint8_t* words[8];
-  std::uint8_t* rows[8];
-  std::size_t w = begin;
-  for (; w + 8 <= end; w += 8) {
-    for (std::size_t l = 0; l < 8; ++l) {
-      words[l] = bits + (w + l) * stride;
-      rows[l] = out + (w + l) * channels;
-    }
-    const auto sign_bit = [](std::uint8_t b) {
-      return static_cast<int>(static_cast<std::uint32_t>(b != 0) << 31);
-    };
-    for (std::size_t s = 0; s < stride; ++s) {
-      _mm256_store_ps(
-          masks_data + 8 * s,
-          _mm256_castsi256_ps(_mm256_setr_epi32(
-              sign_bit(words[0][s]), sign_bit(words[1][s]),
-              sign_bit(words[2][s]), sign_bit(words[3][s]),
-              sign_bit(words[4][s]), sign_bit(words[5][s]),
-              sign_bit(words[6][s]), sign_bit(words[7][s]))));
-    }
-
-    for (std::size_t d = d_begin; d < d_end; ++d) {
-      __m256 acc = _mm256_setzero_ps();
-      for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
-        const __m256 zero = _mm256_broadcast_ss(&re0[i]);
-        const __m256 one = _mm256_broadcast_ss(&re1[i]);
-        const __m256 mask = _mm256_load_ps(masks_data + 8 * slots[i]);
-        acc = _mm256_add_ps(acc, _mm256_blendv_ps(zero, one, mask));
-      }
-      const int neg = _mm256_movemask_ps(
-          _mm256_cmp_ps(acc, _mm256_setzero_ps(), _CMP_LT_OQ));
-      const std::size_t c = det_channel[d];
-      for (std::size_t l = 0; l < 8; ++l) {
-        rows[l][c] = static_cast<std::uint8_t>((neg >> l) & 1);
-      }
-    }
-  }
-  // Remainder tail (< 8 words): the f32 scalar reference — identical float
-  // accumulation order, so the tail cannot decode differently.
-  if (w < end) {
-    detail::eval_bits_f32_scalar_range(plan, bits, w, end, out, d_begin,
-                                       d_end);
-  }
-}
-
-void eval_bits_avx2(const EvalPlan& plan, const std::uint8_t* bits,
-                    std::size_t begin, std::size_t end, std::uint8_t* out) {
-  eval_bits_avx2_range(plan, bits, begin, end, out, 0, plan.num_detectors());
-}
-
-void eval_bits_f32_avx2(const EvalPlan& plan, const std::uint8_t* bits,
-                        std::size_t begin, std::size_t end,
-                        std::uint8_t* out) {
-  eval_bits_f32_avx2_range(plan, bits, begin, end, out, 0,
-                           plan.num_detectors());
-}
-
-void eval_bits_mixed_avx2(const EvalPlan& plan, const std::uint8_t* bits,
+/// eval_bits on a plan with an f32 run: one fused pass per 8-word group.
+void eval_bits_fused_avx2(const EvalPlan& plan, const std::uint8_t* bits,
                           std::size_t begin, std::size_t end,
                           std::uint8_t* out) {
-  // Fused single pass per 8-word group: the f32-width lane masks are built
-  // once and serve BOTH precision runs. The f32 run consumes them whole;
-  // the f64 rescue run sign-extends each 4-lane half to doubles on the fly
-  // (vpmovsxdq keeps the sign bit, which is all vblendvpd reads). Composing
-  // the two range kernels instead would re-read the packed words and
-  // transpose masks once per precision — with few rescue detectors that
-  // second stride-proportional pass costs more than the f32 run saves.
+  // The f32-width lane masks are built once and serve BOTH precision runs.
+  // The f32 run consumes them whole; the f64 rescue run sign-extends each
+  // 4-lane half to doubles on the fly (vpmovsxdq keeps the sign bit, which
+  // is all vblendvpd reads). Running one pass per precision instead would
+  // re-read the packed words and transpose masks twice — with few rescue
+  // detectors that second stride-proportional pass costs more than the f32
+  // run saves.
   const auto offsets = plan.detector_offsets();
   const auto det_channel = plan.detector_channels();
   const auto re0f = plan.re0_f32();
@@ -308,6 +228,15 @@ void eval_bits_mixed_avx2(const EvalPlan& plan, const std::uint8_t* bits,
   if (w < end) {
     detail::eval_bits_f32_scalar_range(plan, bits, w, end, out, 0, kf);
     detail::eval_bits_scalar_range(plan, bits, w, end, out, kf, nd);
+  }
+}
+
+void eval_bits_avx2(const EvalPlan& plan, const std::uint8_t* bits,
+                    std::size_t begin, std::size_t end, std::uint8_t* out) {
+  if (plan.num_f32_detectors() == 0) {
+    eval_bits_f64_avx2(plan, bits, begin, end, out);
+  } else {
+    eval_bits_fused_avx2(plan, bits, begin, end, out);
   }
 }
 
@@ -575,8 +504,6 @@ const Kernel* detail::avx2_kernel_candidate() {
   // lives in dispatch.cpp (a portable TU); this is a bare constant return.
   static constexpr Kernel kernel{"avx2",
                                  &eval_bits_avx2,
-                                 &eval_bits_f32_avx2,
-                                 &eval_bits_mixed_avx2,
                                  &eval_planes_avx2,
                                  &pack_planes_avx2,
                                  &eval_channels_avx2};

@@ -12,9 +12,12 @@
 // a single _mm512_cmp_pd_mask / _mm512_cmp_ps_mask (ordered < 0.0, so a
 // -0.0 sum decodes as 0 exactly like the scalar `acc < 0.0`).
 //
-// The bit passes take a detector range for the block-f32 path (f32 pass
-// over the proved run, f64 pass over the rescue run); odd-word tails fall
-// to the scalar range helpers.
+// eval_bits makes one selection on the plan: an f64 plan (no f32 run)
+// takes the 8-word f64 pass over __mmask8s; any plan with an f32 run takes
+// one fused 16-word pass whose __mmask16s serve the f32 run whole and the
+// f64 rescue run as byte halves (that loop is empty on a fully-proved
+// plan). Keeping the 8-word pass for f64 plans keeps their scalar tail
+// under 8 words. Odd-word tails fall to the scalar range helpers.
 //
 // The plane entry needs no mask build at all: a 64-word slot plane already
 // IS eight __mmask8s (or four __mmask16s) side by side, so lane group k's
@@ -120,10 +123,10 @@ inline void build_masks_u16(const std::uint8_t* const words[16],
   }
 }
 
-void eval_bits_avx512_range(const EvalPlan& plan, const std::uint8_t* bits,
-                            std::size_t begin, std::size_t end,
-                            std::uint8_t* out, std::size_t d_begin,
-                            std::size_t d_end) {
+/// eval_bits on an f64 plan: eight words per __m512d.
+void eval_bits_f64_avx512(const EvalPlan& plan, const std::uint8_t* bits,
+                          std::size_t begin, std::size_t end,
+                          std::uint8_t* out) {
   const auto offsets = plan.detector_offsets();
   const auto det_channel = plan.detector_channels();
   const auto re0 = plan.re0();
@@ -131,6 +134,7 @@ void eval_bits_avx512_range(const EvalPlan& plan, const std::uint8_t* bits,
   const auto slots = plan.slots();
   const std::size_t stride = plan.slot_count();
   const std::size_t channels = plan.num_channels();
+  const std::size_t nd = plan.num_detectors();
 
   // One __mmask8 per input slot: bit l set iff word l's bit at that slot
   // is nonzero (the scalar kernel's `word[slot] ?` truthiness, not bit 0).
@@ -152,7 +156,7 @@ void eval_bits_avx512_range(const EvalPlan& plan, const std::uint8_t* bits,
     }
     build_masks_u8(words, stride, masks);
 
-    for (std::size_t d = d_begin; d < d_end; ++d) {
+    for (std::size_t d = 0; d < nd; ++d) {
       __m512d acc = _mm512_setzero_pd();
       for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
         // blend(k, a, b): lane l reads b where bit l of k is set — so a
@@ -171,86 +175,18 @@ void eval_bits_avx512_range(const EvalPlan& plan, const std::uint8_t* bits,
       }
     }
   }
-  if (w < end) {
-    detail::eval_bits_scalar_range(plan, bits, w, end, out, d_begin, d_end);
-  }
+  if (w < end) detail::eval_bits_scalar_range(plan, bits, w, end, out, 0, nd);
 }
 
-void eval_bits_f32_avx512_range(const EvalPlan& plan,
-                                const std::uint8_t* bits, std::size_t begin,
-                                std::size_t end, std::uint8_t* out,
-                                std::size_t d_begin, std::size_t d_end) {
-  const auto offsets = plan.detector_offsets();
-  const auto det_channel = plan.detector_channels();
-  const auto re0 = plan.re0_f32();
-  const auto re1 = plan.re1_f32();
-  const auto slots = plan.slots();
-  const std::size_t stride = plan.slot_count();
-  const std::size_t channels = plan.num_channels();
-
-  std::uint16_t stack_masks[kStackSlots];
-  std::vector<std::uint16_t> heap_masks;
-  std::uint16_t* masks = stack_masks;
-  if (stride > kStackSlots) {
-    heap_masks.resize(stride);
-    masks = heap_masks.data();
-  }
-
-  const std::uint8_t* words[16];
-  std::uint8_t* rows[16];
-  std::size_t w = begin;
-  for (; w + 16 <= end; w += 16) {
-    for (std::size_t l = 0; l < 16; ++l) {
-      words[l] = bits + (w + l) * stride;
-      rows[l] = out + (w + l) * channels;
-    }
-    build_masks_u16(words, stride, masks);
-
-    for (std::size_t d = d_begin; d < d_end; ++d) {
-      __m512 acc = _mm512_setzero_ps();
-      for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
-        acc = _mm512_add_ps(
-            acc,
-            _mm512_mask_blend_ps(static_cast<__mmask16>(masks[slots[i]]),
-                                 _mm512_set1_ps(re0[i]),
-                                 _mm512_set1_ps(re1[i])));
-      }
-      const __mmask16 neg =
-          _mm512_cmp_ps_mask(acc, _mm512_setzero_ps(), _CMP_LT_OQ);
-      const std::size_t c = det_channel[d];
-      for (std::size_t l = 0; l < 16; ++l) {
-        rows[l][c] = static_cast<std::uint8_t>((neg >> l) & 1);
-      }
-    }
-  }
-  if (w < end) {
-    detail::eval_bits_f32_scalar_range(plan, bits, w, end, out, d_begin,
-                                       d_end);
-  }
-}
-
-void eval_bits_avx512(const EvalPlan& plan, const std::uint8_t* bits,
-                      std::size_t begin, std::size_t end, std::uint8_t* out) {
-  eval_bits_avx512_range(plan, bits, begin, end, out, 0,
-                         plan.num_detectors());
-}
-
-void eval_bits_f32_avx512(const EvalPlan& plan, const std::uint8_t* bits,
-                          std::size_t begin, std::size_t end,
-                          std::uint8_t* out) {
-  eval_bits_f32_avx512_range(plan, bits, begin, end, out, 0,
-                             plan.num_detectors());
-}
-
-void eval_bits_mixed_avx512(const EvalPlan& plan, const std::uint8_t* bits,
+/// eval_bits on a plan with an f32 run: one fused pass per 16-word group.
+void eval_bits_fused_avx512(const EvalPlan& plan, const std::uint8_t* bits,
                             std::size_t begin, std::size_t end,
                             std::uint8_t* out) {
-  // Fused single pass per 16-word group: one u16 mask build serves BOTH
-  // precision runs — the f32 run consumes whole __mmask16s, the f64 rescue
-  // run consumes their byte halves as __mmask8s across two 8-wide passes.
-  // Composing the two range kernels instead would re-read the packed words
-  // and rebuild masks per precision, and with the arithmetic this cheap
-  // the second mask build erases the f32 run's win.
+  // One u16 mask build serves BOTH precision runs — the f32 run consumes
+  // whole __mmask16s, the f64 rescue run consumes their byte halves as
+  // __mmask8s across two 8-wide passes. One pass per precision instead
+  // would re-read the packed words and rebuild masks, and with the
+  // arithmetic this cheap the second mask build erases the f32 run's win.
   const auto offsets = plan.detector_offsets();
   const auto det_channel = plan.detector_channels();
   const auto re0f = plan.re0_f32();
@@ -374,6 +310,15 @@ void eval_bits_mixed_avx512(const EvalPlan& plan, const std::uint8_t* bits,
   if (w < end) {
     detail::eval_bits_f32_scalar_range(plan, bits, w, end, out, 0, kf);
     detail::eval_bits_scalar_range(plan, bits, w, end, out, kf, nd);
+  }
+}
+
+void eval_bits_avx512(const EvalPlan& plan, const std::uint8_t* bits,
+                      std::size_t begin, std::size_t end, std::uint8_t* out) {
+  if (plan.num_f32_detectors() == 0) {
+    eval_bits_f64_avx512(plan, bits, begin, end, out);
+  } else {
+    eval_bits_fused_avx512(plan, bits, begin, end, out);
   }
 }
 
@@ -585,8 +530,6 @@ const Kernel* detail::avx512_kernel_candidate() {
   // return.
   static constexpr Kernel kernel{"avx512",
                                  &eval_bits_avx512,
-                                 &eval_bits_f32_avx512,
-                                 &eval_bits_mixed_avx512,
                                  &eval_planes_avx512,
                                  &pack_planes_avx512,
                                  &eval_channels_avx512};

@@ -6,10 +6,10 @@
 // unchanged, and the packed-bit decode consumes nothing but sign(Re). This
 // alone roughly halves the arithmetic of the PR 1/2 AoS loop, which dragged
 // the full complex pair (and the indexing metadata interleaved with it)
-// through the accumulator. eval_bits_f32 is the same loop over the plan's
-// float arrays; eval_bits_mixed composes the two loops over the plan's f32
-// and rescue detector runs; eval_channels keeps the full complex pair
-// because phase and amplitude need it, then decodes via decide_phase
+// through the accumulator. It runs that loop twice, once per precision
+// run: in f32 over the plan's float mirrors for the f32 run, in f64 for
+// the rest (either run may be empty). eval_channels keeps the full complex
+// pair because phase and amplitude need it, then decodes via decide_phase
 // exactly like the scalar gate path.
 //
 // eval_planes is the same per-word decode over bit planes: word l of a
@@ -19,9 +19,8 @@
 // tiles.
 //
 // The bit loops are defined as detector-range helpers (exported through
-// kernels::detail) because the block-f32 path needs them twice per word
-// range — once per precision run — and the vector kernels need them for
-// odd-word tails that must not re-decode the other run's detectors.
+// kernels::detail) because eval_bits needs them once per precision run
+// and the vector kernels need them for their odd-word tails.
 #include "wavesim/kernels/kernel.h"
 
 #include <algorithm>
@@ -139,20 +138,6 @@ void pack_planes_scalar(const std::uint8_t* rows, std::size_t cols,
 
 void eval_bits_scalar(const EvalPlan& plan, const std::uint8_t* bits,
                       std::size_t begin, std::size_t end, std::uint8_t* out) {
-  detail::eval_bits_scalar_range(plan, bits, begin, end, out, 0,
-                                 plan.num_detectors());
-}
-
-void eval_bits_f32_scalar(const EvalPlan& plan, const std::uint8_t* bits,
-                          std::size_t begin, std::size_t end,
-                          std::uint8_t* out) {
-  detail::eval_bits_f32_scalar_range(plan, bits, begin, end, out, 0,
-                                     plan.num_detectors());
-}
-
-void eval_bits_mixed_scalar(const EvalPlan& plan, const std::uint8_t* bits,
-                            std::size_t begin, std::size_t end,
-                            std::uint8_t* out) {
   const std::size_t kf = plan.num_f32_detectors();
   detail::eval_bits_f32_scalar_range(plan, bits, begin, end, out, 0, kf);
   detail::eval_bits_scalar_range(plan, bits, begin, end, out, kf,
@@ -244,8 +229,6 @@ void eval_channels_scalar(const EvalPlan& plan, const std::uint8_t* bits,
 const Kernel& scalar_kernel() {
   static constexpr Kernel kernel{"scalar",
                                  &eval_bits_scalar,
-                                 &eval_bits_f32_scalar,
-                                 &eval_bits_mixed_scalar,
                                  &eval_planes_scalar,
                                  &pack_planes_scalar,
                                  &eval_channels_scalar};

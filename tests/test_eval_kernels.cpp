@@ -656,19 +656,13 @@ std::vector<std::uint8_t> from_planes(const std::vector<std::uint64_t>& planes,
   return bits;
 }
 
-/// The byte entry a plan's precision verdicts select.
+/// The byte entry over the whole matrix.
 std::vector<std::uint8_t> byte_decode(const EvalPlan& plan,
                                       const Kernel& kernel,
                                       const std::vector<std::uint8_t>& bits,
                                       std::size_t num_words) {
   std::vector<std::uint8_t> out(num_words * plan.num_channels());
-  if (plan.has_f32()) {
-    kernel.eval_bits_f32(plan, bits.data(), 0, num_words, out.data());
-  } else if (plan.is_block()) {
-    kernel.eval_bits_mixed(plan, bits.data(), 0, num_words, out.data());
-  } else {
-    kernel.eval_bits(plan, bits.data(), 0, num_words, out.data());
-  }
+  kernel.eval_bits(plan, bits.data(), 0, num_words, out.data());
   return out;
 }
 

@@ -95,6 +95,76 @@ TEST(ObsHistogram, StandardLaddersCoverServingRanges) {
   EXPECT_THROW(Histogram(1.0, 2.0, 0), sw::util::Error);
 }
 
+// p50, p95, p99 and max of `values` recorded on a doubling ladder whose
+// bounds are powers of two (1, 2, 4, ..., 512), so integer samples land on
+// or next to an exact bucket edge.
+std::vector<double> ladder_quantiles(const std::vector<double>& values) {
+  Histogram h(1.0, 2.0, 10);
+  for (const double v : values) h.record(v);
+  const HistogramSnapshot s = h.snapshot();
+  return {s.quantile(0.50), s.quantile(0.95), s.quantile(0.99),
+          s.quantile(1.0)};
+}
+
+std::vector<double> one_to_hundred(bool descending) {
+  std::vector<double> values;
+  for (int i = 1; i <= 100; ++i) {
+    values.push_back(static_cast<double>(descending ? 101 - i : i));
+  }
+  return values;
+}
+
+TEST(ObsHistogram, QuantileNearestRankPercentiles) {
+  // 1..100: ranks 50 / 95 / 99 / 100 fall in the le=64 and le=128 buckets.
+  Histogram h(1.0, 2.0, 10);
+  for (const double v : one_to_hundred(false)) h.record(v);
+  EXPECT_EQ(h.snapshot().count, 100u);
+  EXPECT_EQ(ladder_quantiles(one_to_hundred(false)),
+            (std::vector<double>{64.0, 128.0, 128.0, 128.0}));
+}
+
+TEST(ObsHistogram, QuantileOfEmptyIsZero) {
+  EXPECT_EQ(ladder_quantiles({}), (std::vector<double>{0.0, 0.0, 0.0, 0.0}));
+}
+
+TEST(ObsHistogram, QuantileNearestRankBoundaries) {
+  // n = 1: every rank is the single sample (ceil(q) == 1); 7 is in le=8.
+  EXPECT_EQ(ladder_quantiles({7.0}),
+            (std::vector<double>{8.0, 8.0, 8.0, 8.0}));
+  // n = 2: p50 is the *lower* sample — ceil(0.5 * 2) is exactly 1, the
+  // boundary a pseudo-ceil (q * n + eps) overshoots to rank 2. Both
+  // samples sit on bucket edges, so both come back exact.
+  EXPECT_EQ(ladder_quantiles({2.0, 1.0}),
+            (std::vector<double>{1.0, 2.0, 2.0, 2.0}));
+  // n = 100, descending: q * n is integral for all three percentiles
+  // (ranks 50 / 95 / 99) and insertion order must not matter.
+  EXPECT_EQ(ladder_quantiles(one_to_hundred(true)),
+            ladder_quantiles(one_to_hundred(false)));
+}
+
+TEST(ObsHistogram, QuantileIsTheNearestRankBucketUpperBound) {
+  // Ranks on either side of a bucket edge: 32 of 1..100 are <= 32.
+  Histogram h(1.0, 2.0, 10);  // bounds 1, 2, 4, ..., 512
+  for (const double v : one_to_hundred(true)) h.record(v);
+  const HistogramSnapshot s = h.snapshot();
+  EXPECT_DOUBLE_EQ(s.quantile(0.32), 32.0);
+  EXPECT_DOUBLE_EQ(s.quantile(0.33), 64.0);
+  EXPECT_DOUBLE_EQ(s.quantile(0.0), 1.0);  // rank clamps up to 1
+  // Past the last finite bound: the last finite bound.
+  Histogram over(1.0, 2.0, 2);  // bounds 1, 2
+  over.record(100.0);
+  EXPECT_DOUBLE_EQ(over.snapshot().quantile(0.5), 2.0);
+  // On the doubling latency ladder the reported value lies in
+  // [true, 2 x true) for a single sample anywhere on the ladder.
+  for (const double v : {1.5e-6, 3e-6, 7.7e-5, 1e-3, 0.0123, 2.5}) {
+    Histogram lat = Histogram::for_seconds();
+    lat.record(v);
+    const double q = lat.snapshot().quantile(0.99);
+    EXPECT_GE(q, v);
+    EXPECT_LT(q, 2.0 * v);
+  }
+}
+
 TEST(ObsTrace, SpansAccumulateByPhaseAndTruncatePastCapacity) {
   TraceContext t;
   t.id = 42;

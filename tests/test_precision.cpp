@@ -319,26 +319,39 @@ TEST(BlockPrecision, BlockDecodesBitIdenticalToDoubleOnEveryOp) {
 }
 
 TEST(BlockPrecision, MixedKernelOddWordCountsExerciseTheTails) {
-  // The mixed entry point splits each word group into an f32 sub-pass and
-  // an f64 rescue sub-pass with DIFFERENT group widths (8/16 floats vs
-  // 4/8 doubles per register), so odd word counts leave different tails in
-  // each sub-pass. Every SIMD kernel must agree with scalar on all of them.
+  // eval_bits runs a plan's f32 run and its f64 run at DIFFERENT group
+  // widths (8/16 floats vs 4/8 doubles per register), and each vector
+  // kernel picks its pass from the plan's shape, so odd word counts leave
+  // different tails per plan shape and run. Every SIMD kernel must agree
+  // with scalar on all of them, for a pure f32, a block and an all-f64
+  // plan of the same fabric.
   const PrecisionFixture fix;
-  const GateLayout layout = fix.thin_channel(fix.majority_layout(3, 8), 5);
-  const DataParallelGate gate(layout, fix.engine);
-  const BatchEvaluator evaluator(
-      gate, {.num_threads = 1, .precision = Precision::kFloat32});
-  ASSERT_TRUE(evaluator.plan().is_block());
+  const GateLayout paper = fix.majority_layout(3, 8);
+  const GateLayout thin = fix.thin_channel(paper, 5);
+  const DataParallelGate paper_gate(paper, fix.engine);
+  const DataParallelGate thin_gate(thin, fix.engine);
+  const BatchEvaluator pure_f32(
+      paper_gate, {.num_threads = 1, .precision = Precision::kFloat32});
+  const BatchEvaluator block(
+      thin_gate, {.num_threads = 1, .precision = Precision::kFloat32});
+  const BatchEvaluator all_f64(
+      thin_gate, {.num_threads = 1, .precision = Precision::kFloat64});
+  ASSERT_TRUE(pure_f32.plan().has_f32()) << pure_f32.plan().f32_rejection();
+  ASSERT_TRUE(block.plan().is_block());
+  ASSERT_EQ(all_f64.plan().num_f32_detectors(), 0u);
   const auto kernels = all_kernels();
-  const std::size_t stride = evaluator.slot_count();
-  for (const std::size_t words :
-       {1ul, 3ul, 5ul, 7ul, 8ul, 9ul, 15ul, 16ul, 17ul, 31ul, 33ul, 65ul}) {
-    const auto packed = random_matrix(words, stride, /*seed=*/71 + words);
-    const auto want = evaluator.evaluate_bits(
-        words, packed, sw::wavesim::kernels::scalar_kernel());
-    for (const Kernel* k : kernels) {
-      EXPECT_EQ(evaluator.evaluate_bits(words, packed, *k), want)
-          << words << " words, kernel " << k->name;
+  for (const BatchEvaluator* evaluator : {&pure_f32, &block, &all_f64}) {
+    const std::string label = evaluator->plan().precision_label();
+    const std::size_t stride = evaluator->slot_count();
+    for (const std::size_t words :
+         {1ul, 3ul, 5ul, 7ul, 8ul, 9ul, 15ul, 16ul, 17ul, 31ul, 33ul, 65ul}) {
+      const auto packed = random_matrix(words, stride, /*seed=*/71 + words);
+      const auto want = evaluator->evaluate_bits(
+          words, packed, sw::wavesim::kernels::scalar_kernel());
+      for (const Kernel* k : kernels) {
+        EXPECT_EQ(evaluator->evaluate_bits(words, packed, *k), want)
+            << label << ", " << words << " words, kernel " << k->name;
+      }
     }
   }
 }

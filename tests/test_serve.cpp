@@ -682,71 +682,6 @@ TEST(EvaluatorService, BlocksWhenSaturatedAndResumes) {
   EXPECT_EQ(svc.stats().shed, 0u);
 }
 
-TEST(LatencyReservoir, NearestRankPercentiles) {
-  sw::serve::LatencyReservoir reservoir(256);
-  for (int i = 1; i <= 100; ++i) {
-    reservoir.record(static_cast<double>(i));
-  }
-  const auto summary = reservoir.summary();
-  EXPECT_EQ(summary.count, 100u);
-  EXPECT_DOUBLE_EQ(summary.p50_s, 50.0);
-  EXPECT_DOUBLE_EQ(summary.p95_s, 95.0);
-  EXPECT_DOUBLE_EQ(summary.p99_s, 99.0);
-}
-
-TEST(LatencyReservoir, WindowTracksRecentRequestsOnly) {
-  sw::serve::LatencyReservoir reservoir(10);
-  for (int i = 1; i <= 1000; ++i) {
-    reservoir.record(static_cast<double>(i));
-  }
-  const auto summary = reservoir.summary();
-  EXPECT_EQ(summary.count, 1000u);
-  // Only 991..1000 remain in the window.
-  EXPECT_DOUBLE_EQ(summary.p50_s, 995.0);
-  EXPECT_DOUBLE_EQ(summary.p99_s, 1000.0);
-}
-
-TEST(LatencyReservoir, EmptySummaryIsZero) {
-  const auto summary = sw::serve::LatencyReservoir(8).summary();
-  EXPECT_EQ(summary.count, 0u);
-  EXPECT_DOUBLE_EQ(summary.p50_s, 0.0);
-  EXPECT_DOUBLE_EQ(summary.p99_s, 0.0);
-}
-
-TEST(LatencyReservoir, NearestRankBoundaries) {
-  // n = 1: every percentile is the single sample (rank ceil(q) == 1).
-  {
-    sw::serve::LatencyReservoir reservoir(8);
-    reservoir.record(7.0);
-    const auto summary = reservoir.summary();
-    EXPECT_DOUBLE_EQ(summary.p50_s, 7.0);
-    EXPECT_DOUBLE_EQ(summary.p95_s, 7.0);
-    EXPECT_DOUBLE_EQ(summary.p99_s, 7.0);
-  }
-  // n = 2: p50 must be the *lower* sample — ceil(0.5 * 2) is exactly 1,
-  // the boundary a pseudo-ceil (q * n + eps) overshoots to rank 2.
-  {
-    sw::serve::LatencyReservoir reservoir(8);
-    reservoir.record(2.0);
-    reservoir.record(1.0);
-    const auto summary = reservoir.summary();
-    EXPECT_DOUBLE_EQ(summary.p50_s, 1.0);
-    EXPECT_DOUBLE_EQ(summary.p95_s, 2.0);
-    EXPECT_DOUBLE_EQ(summary.p99_s, 2.0);
-  }
-  // n = 100 recorded in descending order: q * n integral for all three
-  // quantiles (ranks 50 / 95 / 99 exactly), and the result must not
-  // depend on insertion order.
-  {
-    sw::serve::LatencyReservoir reservoir(256);
-    for (int i = 100; i >= 1; --i) reservoir.record(static_cast<double>(i));
-    const auto summary = reservoir.summary();
-    EXPECT_DOUBLE_EQ(summary.p50_s, 50.0);
-    EXPECT_DOUBLE_EQ(summary.p95_s, 95.0);
-    EXPECT_DOUBLE_EQ(summary.p99_s, 99.0);
-  }
-}
-
 TEST(EvaluatorService, TracksLatencyPercentilesAndCompletionHook) {
   const ServeFixture fix;
   const auto layout = fix.majority_layout(3, 2);
@@ -766,10 +701,12 @@ TEST(EvaluatorService, TracksLatencyPercentilesAndCompletionHook) {
     (void)svc.submit(EvalRequest::for_layout(layout, matrix, 4)).get();
   }
   const auto stats = svc.stats();
-  EXPECT_EQ(stats.latency.count, 5u);
-  EXPECT_GT(stats.latency.p50_s, 0.0);
-  EXPECT_LE(stats.latency.p50_s, stats.latency.p95_s);
-  EXPECT_LE(stats.latency.p95_s, stats.latency.p99_s);
+  const auto& latency = stats.request_latency;
+  EXPECT_EQ(latency.count, 5u);
+  EXPECT_GT(latency.quantile(0.50), 0.0);
+  EXPECT_LE(latency.quantile(0.50), latency.quantile(0.95));
+  EXPECT_LE(latency.quantile(0.95), latency.quantile(0.99));
+  EXPECT_LE(latency.quantile(0.99), latency.quantile(1.0));
   std::lock_guard<std::mutex> lock(seen_mutex);
   EXPECT_EQ(finished_ids.size(), 5u);
   EXPECT_GE(last_latency, 0.0);
