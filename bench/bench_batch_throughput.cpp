@@ -272,7 +272,6 @@ void run_kernel_experiment(bench::BenchJson& json) {
               aos_s / f32_scalar_s);
   json.add("exhaustive_2^16_sweep", "scalar", "f32", words / f32_scalar_s);
 
-  double f32_avx2_s = 0.0;  // the avx512 section compares against this
   if (const auto* avx2 = wavesim::kernels::avx2_kernel()) {
     const double simd_s = bench::best_of_three_seconds([&] {
       simd_bits = evaluator.evaluate_bits(num_words, packed, *avx2);
@@ -308,7 +307,6 @@ void run_kernel_experiment(bench::BenchJson& json) {
     json.add("exhaustive_2^16_sweep", "avx2", "f32", words / f32_simd_s);
     SW_REQUIRE(f32_over_f64 >= 1.5,
                "f32 AVX2 kernel below 1.5x the f64 AVX2 kernel");
-    f32_avx2_s = f32_simd_s;
   } else {
     std::printf("AVX2 SoA kernel      : unavailable on this build/host\n");
   }
@@ -337,18 +335,24 @@ void run_kernel_experiment(bench::BenchJson& json) {
                 "%.2fx over f64 AVX-512",
                 f32_simd512_s * 1e3, words / f32_simd512_s,
                 aos_s / f32_simd512_s, simd512_s / f32_simd512_s);
-    if (f32_avx2_s > 0.0) {
-      std::printf(", %.2fx over f32 AVX2", f32_avx2_s / f32_simd512_s);
-    }
-    std::printf(")\n");
-    json.add("exhaustive_2^16_sweep", "avx512", "f32", words / f32_simd512_s);
     // The acceptance bar of the AVX-512 PR: the 16-wide f32 kernel at
-    // >= 1.5x the AVX2 f32 words/s on the same sweep. Both sides are timed
-    // in this process, so the full bar holds as the CI floor.
-    if (f32_avx2_s > 0.0) {
-      SW_REQUIRE(f32_avx2_s / f32_simd512_s >= 1.5,
+    // >= 1.5x the AVX2 f32 words/s on the same sweep. Like the f32 AVX2
+    // floor it is gated on the median ratio of alternating pairs, not on
+    // two best-of-three rows.
+    if (const auto* avx2 = wavesim::kernels::avx2_kernel()) {
+      const double over_avx2 = bench::median_paired_ratio(
+          [&] { (void)evaluator_f32.evaluate_bits(num_words, packed, *avx2); },
+          [&] {
+            (void)evaluator_f32.evaluate_bits(num_words, packed, *avx512);
+          });
+      std::printf(", %.2fx over f32 AVX2, median of paired runs)\n",
+                  over_avx2);
+      SW_REQUIRE(over_avx2 >= 1.5,
                  "f32 AVX-512 kernel below 1.5x the f32 AVX2 kernel");
+    } else {
+      std::printf(")\n");
     }
+    json.add("exhaustive_2^16_sweep", "avx512", "f32", words / f32_simd512_s);
   } else {
     std::printf("AVX-512 SoA kernel   : unavailable on this build/host\n");
   }
@@ -426,6 +430,11 @@ void run_mixed_experiment(bench::BenchJson& json) {
       [&] { block_bits = block.evaluate_bits(num_words, packed); });
   SW_REQUIRE(block_bits == f64_bits,
              "block-f32 decode diverged from the all-f64 decode");
+  // The floor below is gated on the median ratio of alternating f64/block
+  // pairs, which one stall cannot flip the way it can a best-of-three row.
+  const double block_over_f64 = bench::median_paired_ratio(
+      [&] { (void)f64.evaluate_bits(num_words, packed); },
+      [&] { (void)block.evaluate_bits(num_words, packed); });
 
   const double words = static_cast<double>(num_words);
   const std::string kernel(wavesim::active_kernel_name());
@@ -434,15 +443,16 @@ void run_mixed_experiment(bench::BenchJson& json) {
   std::printf("all-f64 plan         : %8.1f ms  (%10.0f words/s)\n",
               f64_s * 1e3, words / f64_s);
   std::printf("block-f32 plan       : %8.1f ms  (%10.0f words/s, %.2fx; "
-              "bar: 1.3x)\n\n",
-              block_s * 1e3, words / block_s, f64_s / block_s);
+              "%.2fx median of paired runs, bar: 1.3x)\n\n",
+              block_s * 1e3, words / block_s, f64_s / block_s,
+              block_over_f64);
   json.add("thin_1_of_8_sweep", kernel, "f64", words / f64_s);
   json.add_mix("thin_1_of_8_sweep", kernel, "block-f32", words / block_s,
                plan.num_f32_detectors(), plan.num_f64_rescue_detectors());
   // The acceptance bar only binds where a SIMD kernel actually widens the
   // f32 run; the forced-scalar CI leg still cross-checks the decode above.
   if (kernel != "scalar") {
-    SW_REQUIRE(f64_s / block_s >= 1.3,
+    SW_REQUIRE(block_over_f64 >= 1.3,
                "block-f32 plan below 1.3x the all-f64 plan");
   }
 }

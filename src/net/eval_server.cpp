@@ -8,9 +8,11 @@
 #include <netinet/tcp.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -49,7 +51,7 @@ void set_fd_nonblocking(int fd) {
 /// response metadata (not the request frame) so the reply can be encoded
 /// straight from the service's result bits without ever re-touching the
 /// request.
-struct Completion {
+struct EvalServer::Completion {
   std::uint64_t conn_id = 0;
   std::uint64_t tag = 0;
   std::uint64_t layout_hash = 0;
@@ -107,8 +109,13 @@ struct EvalServer::CompletionQueue {
 struct EvalServer::Conn {
   std::uint64_t id = 0;
   Connection conn;
-  std::vector<std::uint8_t> rbuf;  ///< unparsed input; [rpos, end) live
+  /// Input buffer of rcap bytes; [rpos, rend) is unparsed input. recv
+  /// writes straight into the spare capacity past rend, so the buffer is
+  /// never zero-filled and a page no recv has reached is never touched.
+  std::unique_ptr<std::uint8_t[]> rbuf;
+  std::size_t rcap = 0;
   std::size_t rpos = 0;
+  std::size_t rend = 0;
   std::vector<std::uint8_t> wbuf;  ///< unflushed output; [wpos, end) live
   std::size_t wpos = 0;
   std::size_t inflight = 0;  ///< submitted to the service, not yet replied
@@ -136,8 +143,22 @@ struct EvalServer::Conn {
   std::deque<PendingTrace> pending_traces;
 
   std::size_t pending_write() const { return wbuf.size() - wpos; }
+  std::size_t buffered_read() const { return rend - rpos; }
+  /// Room for at least `n` bytes past rend. Growing moves only the
+  /// unparsed bytes, into a buffer left uninitialised.
+  void reserve_read(std::size_t n) {
+    if (rcap - rend >= n) return;
+    const std::size_t live = buffered_read();
+    const std::size_t cap = std::max(2 * rcap, live + n);
+    auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+    if (live > 0) std::memcpy(grown.get(), rbuf.get() + rpos, live);
+    rbuf = std::move(grown);
+    rcap = cap;
+    rpos = 0;
+    rend = live;
+  }
   bool has_complete_message() const {
-    const std::size_t avail = rbuf.size() - rpos;
+    const std::size_t avail = buffered_read();
     if (discard_input || avail < kMessageHeaderSize) return false;
     std::uint64_t payload_size = 0;
     for (int i = 0; i < 8; ++i) {
@@ -152,7 +173,7 @@ struct EvalServer::Conn {
            !has_complete_message();
   }
   bool has_stalled_work() const {
-    return pending_write() > 0 || rbuf.size() - rpos > 0 || draining ||
+    return pending_write() > 0 || buffered_read() > 0 || draining ||
            inflight > 0;
   }
 };
@@ -328,21 +349,16 @@ void EvalServer::handle_readable(Conn& conn) {
   std::uint64_t read_total = 0;
   for (;;) {
     if (conn.paused || conn.draining || conn.peer_eof) break;
-    if (conn.rbuf.size() - conn.rpos >= kMaxBufferedRead) break;
-    const std::size_t old_size = conn.rbuf.size();
-    conn.rbuf.resize(old_size + kReadChunk);
+    if (conn.buffered_read() >= kMaxBufferedRead) break;
+    conn.reserve_read(kReadChunk);
     const std::ptrdiff_t n =
-        conn.conn.recv_some({conn.rbuf.data() + old_size, kReadChunk});
-    if (n < 0) {
-      conn.rbuf.resize(old_size);
-      break;  // drained
-    }
+        conn.conn.recv_some({conn.rbuf.get() + conn.rend, kReadChunk});
+    if (n < 0) break;  // drained
     if (n == 0) {
-      conn.rbuf.resize(old_size);
       conn.peer_eof = true;
       break;
     }
-    conn.rbuf.resize(old_size + static_cast<std::size_t>(n));
+    conn.rend += static_cast<std::size_t>(n);
     read_total += static_cast<std::uint64_t>(n);
     conn.last_progress = std::chrono::steady_clock::now();
     process_buffered(conn);
@@ -358,11 +374,10 @@ void EvalServer::handle_readable(Conn& conn) {
     // already buffered are still served before the connection closes.
     conn.draining = true;
   }
-  if (conn.settled()) {
-    close_conn(conn.id);
-    return;
-  }
-  update_epoll(conn);
+  // Replies of requests that ran inline are already in wbuf: flush them
+  // now rather than after another epoll round. handle_writable closes a
+  // settled connection and re-arms epoll otherwise.
+  handle_writable(conn);
 }
 
 void EvalServer::process_buffered(Conn& conn) {
@@ -377,25 +392,25 @@ void EvalServer::process_buffered(Conn& conn) {
       }
       break;
     }
-    const std::size_t avail = conn.rbuf.size() - conn.rpos;
+    const std::size_t avail = conn.buffered_read();
     if (avail < kMessageHeaderSize) break;
     const MessageHeader header = parse_message_header(
-        {conn.rbuf.data() + conn.rpos, kMessageHeaderSize});
+        {conn.rbuf.get() + conn.rpos, kMessageHeaderSize});
     if (avail < kMessageHeaderSize + header.payload_size) break;
     const std::span<const std::uint8_t> payload{
-        conn.rbuf.data() + conn.rpos + kMessageHeaderSize,
+        conn.rbuf.get() + conn.rpos + kMessageHeaderSize,
         static_cast<std::size_t>(header.payload_size)};
     conn.rpos += kMessageHeaderSize + header.payload_size;
     handle_message(conn, header, payload);
   }
   // Reuse the buffer: fully parsed input resets it (capacity kept); a
   // large parsed prefix ahead of a partial frame is compacted away.
-  if (conn.rpos == conn.rbuf.size()) {
-    conn.rbuf.clear();
-    conn.rpos = 0;
+  if (conn.rpos == conn.rend) {
+    conn.rpos = conn.rend = 0;
   } else if (conn.rpos >= (1u << 20)) {
-    conn.rbuf.erase(conn.rbuf.begin(),
-                    conn.rbuf.begin() + static_cast<std::ptrdiff_t>(conn.rpos));
+    std::memmove(conn.rbuf.get(), conn.rbuf.get() + conn.rpos,
+                 conn.buffered_read());
+    conn.rend -= conn.rpos;
     conn.rpos = 0;
   }
 }
@@ -461,7 +476,9 @@ void EvalServer::handle_message(Conn& conn, const MessageHeader& header,
 
 void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
                               std::span<const std::uint8_t> payload) {
-  bool submitted = false;
+  // Set by the completion callback when the service ran the request on
+  // this (the event) thread, inside submit_async.
+  std::optional<Completion> ran_inline;
   try {
     sw::obs::TraceContext trace;
     trace.track = conn.id;
@@ -478,7 +495,6 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
     meta.word_offset = request.word_offset;
     meta.num_words = request.num_words;
     sw::serve::EvalRequest eval_request;
-    sw::core::GateLayout layout;
     if (request.program) {
       // v3: prove both ends mean the same program before evaluating, the
       // same contract layout_for enforces for geometry. The service's plan
@@ -491,9 +507,10 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
       eval_request = sw::serve::EvalRequest::for_program(
           *request.program, std::move(request.matrix), num_words);
     } else {
-      layout = layout_for(request);
+      // The cached layout only has to outlive submit_async: the service
+      // copies it on a plan-cache miss and keys a hit by its bytes.
       eval_request = sw::serve::EvalRequest::for_layout(
-          layout, std::move(request.matrix), num_words);
+          layout_for(request), std::move(request.matrix), num_words);
     }
     trace.end(decode_slot);
     eval_request.trace = std::move(trace);
@@ -501,9 +518,14 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
     // has to be encoded and flushed — so recording is deferred to this
     // server (wire-encode + write-queue spans appended first).
     eval_request.defer_trace_record = true;
+    eval_request.run_small_hits_inline = true;
+    // Where the callback runs decides the route: on this thread it is
+    // still inside submit_async below, so the completion goes straight to
+    // ran_inline; on a pool worker it goes through the completion queue.
     service_->submit_async(
         std::move(eval_request),
-        [queue = completions_, meta = std::move(meta)](
+        [queue = completions_, meta = std::move(meta),
+         event_thread = std::this_thread::get_id(), sink = &ran_inline](
             sw::serve::ResultBatch&& result, std::exception_ptr error) mutable {
           if (error) {
             meta.failed = true;
@@ -521,9 +543,12 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
             meta.bits = std::move(result.bits);
           }
           meta.trace = std::move(result.trace);
-          queue->push(std::move(meta));
+          if (std::this_thread::get_id() == event_thread) {
+            *sink = std::move(meta);
+          } else {
+            queue->push(std::move(meta));
+          }
         });
-    submitted = true;
     ++conn.inflight;
   } catch (const sw::serve::OverloadError& e) {
     {
@@ -546,7 +571,6 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
     // Before submit: the client sent something malformed (bad frame, wrong
     // shape, alien geometry). After submit is unreachable here — those
     // failures arrive through the completion callback.
-    (void)submitted;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++counters_.errors_sent;
@@ -554,6 +578,7 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
     append_reply(conn,
                  make_error_message(ErrorCode::kBadRequest, e.what(), tag));
   }
+  if (ran_inline) deliver(conn, *ran_inline);
 }
 
 void EvalServer::append_reply(Conn& conn, const Message& message) {
@@ -575,39 +600,7 @@ void EvalServer::drain_completions() {
       service_->trace_recorder().record(c.trace);
       continue;
     }
-    Conn& conn = *it->second;
-    if (c.failed) {
-      append_reply(conn,
-                   make_error_message(c.error_code, c.error_text, c.tag));
-      service_->trace_recorder().record(c.trace);
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++counters_.errors_sent;
-      if (c.error_code == ErrorCode::kOverload) ++counters_.overloads;
-    } else {
-      const std::size_t encode_slot =
-          c.trace.begin(sw::obs::Phase::kWireEncode);
-      sw::serve::SweepFrameView view;
-      view.kind = sw::serve::FrameKind::kResponse;
-      view.layout_hash = c.layout_hash;
-      view.word_offset = c.word_offset;
-      view.num_words = c.num_words;
-      view.num_cols = c.num_channels;
-      view.matrix = c.bits;
-      append_frame_message(conn.wbuf, view, c.tag);
-      c.trace.end(encode_slot);
-      conn.last_progress = std::chrono::steady_clock::now();
-      // The write-queue span stays open until the reply's last byte has
-      // left for the socket (flush_mark); handle_writable closes it and
-      // records the finished trace.
-      Conn::PendingTrace pending;
-      pending.flush_mark = conn.total_flushed + conn.pending_write();
-      pending.slot = c.trace.begin(sw::obs::Phase::kWriteQueue);
-      pending.trace = std::move(c.trace);
-      conn.pending_traces.push_back(std::move(pending));
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++counters_.responses_sent;
-    }
-    --conn.inflight;
+    deliver(*it->second, c);
   }
   // Flush and, where back-pressure has lifted, resume reading. Done once
   // per drained batch per connection rather than per completion.
@@ -629,17 +622,49 @@ void EvalServer::drain_completions() {
       conn.paused = false;
       try {
         process_buffered(conn);
+        handle_writable(conn);  // flushes inline replies, or closes
       } catch (const std::exception&) {
         close_conn(id);
-        continue;
       }
-      if (conn.settled()) {
-        close_conn(id);
-        continue;
-      }
-      update_epoll(conn);
     }
   }
+}
+
+/// Appends one settled request's reply (or its error) to the connection's
+/// write buffer; the flush happens later, once per batch of replies.
+void EvalServer::deliver(Conn& conn, Completion& c) {
+  if (c.failed) {
+    append_reply(conn,
+                 make_error_message(c.error_code, c.error_text, c.tag));
+    service_->trace_recorder().record(c.trace);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.errors_sent;
+    if (c.error_code == ErrorCode::kOverload) ++counters_.overloads;
+  } else {
+    const std::size_t encode_slot =
+        c.trace.begin(sw::obs::Phase::kWireEncode);
+    sw::serve::SweepFrameView view;
+    view.kind = sw::serve::FrameKind::kResponse;
+    view.layout_hash = c.layout_hash;
+    view.word_offset = c.word_offset;
+    view.num_words = c.num_words;
+    view.num_cols = c.num_channels;
+    view.matrix = c.bits;
+    append_frame_message(conn.wbuf, view, c.tag);
+    c.trace.end(encode_slot);
+    conn.last_progress = std::chrono::steady_clock::now();
+    // The write-queue span stays open until the reply's last byte has
+    // left for the socket (flush_mark); handle_writable closes it and
+    // records the finished trace.
+    Conn::PendingTrace pending;
+    pending.flush_mark = conn.total_flushed + conn.pending_write();
+    pending.slot = c.trace.begin(sw::obs::Phase::kWriteQueue);
+    pending.trace = std::move(c.trace);
+    conn.pending_traces.push_back(std::move(pending));
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.responses_sent;
+  }
+  --conn.inflight;
 }
 
 void EvalServer::handle_writable(Conn& conn) {
@@ -720,30 +745,31 @@ void EvalServer::reap_stalled() {
   for (const std::uint64_t id : stalled) close_conn(id);
 }
 
-sw::core::GateLayout EvalServer::layout_for(
+const sw::core::GateLayout& EvalServer::layout_for(
     const sw::serve::SweepFrame& request) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = layouts_.find(request.layout_hash);
-    if (it != layouts_.end() && it->second.spec == *request.spec) {
-      return it->second;
-    }
+  auto it = layouts_.find(request.layout_hash);
+  if (it != layouts_.end() && it->second.spec == *request.spec) {
+    return it->second;
   }
   sw::core::GateLayout layout = designer_(*request.spec);
   const std::uint64_t local_hash = sw::serve::hash_layout(layout);
   SW_REQUIRE(local_hash == request.layout_hash,
              "layout hash mismatch: server geometry differs from the "
              "client's");
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (layouts_.size() >= options_.layout_cache_capacity &&
-      layouts_.count(request.layout_hash) == 0) {
+  if (it != layouts_.end()) {
+    // Same hash, different spec (a collision): the verified newcomer
+    // takes the slot.
+    it->second = std::move(layout);
+    return it->second;
+  }
+  if (layouts_.size() >= options_.layout_cache_capacity) {
     // The layout cache is a small redesign-avoidance map, not an LRU:
     // dropping an arbitrary entry under pressure is fine because misses
     // only cost a redesign, never a wrong answer.
     layouts_.erase(layouts_.begin());
   }
-  layouts_.emplace(request.layout_hash, layout);
-  return layout;
+  return layouts_.emplace(request.layout_hash, std::move(layout))
+      .first->second;
 }
 
 void EvalServer::heartbeat_loop() {

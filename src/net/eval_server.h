@@ -7,11 +7,25 @@
 //  - One event thread owns every socket. Connections are non-blocking;
 //    reads and writes run only when epoll reports readiness, into
 //    per-connection buffers that are reused across requests (no per-frame
-//    allocation in steady state).
+//    allocation in steady state). The receive buffer is never zero-filled:
+//    recv writes into its spare capacity past the logical end.
 //  - Requests are *pipelined*: a client may send any number of tagged
 //    frames without waiting; evaluations run concurrently on the service
 //    pool via submit_async and each reply carries its request's tag, so
 //    completions are written in whatever order the evaluations finish.
+//  - Small cached requests run inline. Every frame is submitted with
+//    EvalRequest::run_small_hits_inline, so a request whose program the
+//    plan cache already holds and whose batch fits one 64-word plane group
+//    is evaluated on the event thread inside submit_async: a hand-off to
+//    a worker would cost more than the evaluation. A cache miss (the
+//    plan or program build) and any larger batch still run on the pool.
+//  - Completions are routed by the thread that ran the request, never by
+//    its size: the completion callback checks its own thread. On the event
+//    thread its reply is appended to the connection directly, without the
+//    completion queue, the eventfd or another epoll wake. On a pool worker
+//    it goes through the locked completion queue and an eventfd wakeup,
+//    and the event thread appends it at its next drain. Either way the
+//    replies appended in one event-loop pass are flushed together.
 //  - Back-pressure, not shedding: when a connection reaches
 //    max_inflight_per_connection submitted-but-unanswered frames (or its
 //    outgoing buffer backs up past max_pending_write_bytes), the server
@@ -149,6 +163,7 @@ class EvalServer {
 
  private:
   struct Conn;
+  struct Completion;
   struct CompletionQueue;
 
   void event_loop();
@@ -157,6 +172,7 @@ class EvalServer {
   void handle_readable(Conn& conn);
   void handle_writable(Conn& conn);
   void drain_completions();
+  void deliver(Conn& conn, Completion& completion);
   void process_buffered(Conn& conn);
   void handle_message(Conn& conn, const MessageHeader& header,
                       std::span<const std::uint8_t> payload);
@@ -166,7 +182,9 @@ class EvalServer {
   void update_epoll(Conn& conn);
   void close_conn(std::uint64_t conn_id);
   void reap_stalled();
-  sw::core::GateLayout layout_for(const sw::serve::SweepFrame& request);
+  /// The verified cached layout for a layout-bound request (designing and
+  /// caching it on a miss). The reference stays valid until the next call.
+  const sw::core::GateLayout& layout_for(const sw::serve::SweepFrame& request);
 
   sw::serve::EvaluatorService* service_;
   Designer designer_;
@@ -187,8 +205,7 @@ class EvalServer {
   ServerCounters counters_;
   /// Wire hash -> designed layout, each entry verified against the spec
   /// that produced it (a 64-bit collision therefore cannot alias two
-  /// specs: hits re-compare the full GateSpec). Event-thread only, but
-  /// kept under mutex_ for counters()' consistency with the old API.
+  /// specs: hits re-compare the full GateSpec). Event-thread only; no lock.
   std::unordered_map<std::uint64_t, sw::core::GateLayout> layouts_;
 
   std::thread event_thread_;

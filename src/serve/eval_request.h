@@ -49,6 +49,13 @@ struct EvalRequest {
   /// own TraceRecorder at settle. The event server sets true and records
   /// the trace itself, after appending wire-encode and write-queue spans.
   bool defer_trace_record = false;
+  /// Transport hint. When true, a request whose program the submit fast
+  /// path finds cached and whose batch fits one 64-word plane group
+  /// (wavesim::kernels::kPlaneWords) runs on the submitting thread:
+  /// submit_async invokes its callback before returning. A cache miss or a
+  /// larger batch still runs on a pool worker. The event server sets it;
+  /// evaluating such a request costs less than handing it to a worker.
+  bool run_small_hits_inline = false;
 
   static EvalRequest for_layout(const sw::core::GateLayout& layout,
                                 std::vector<std::uint8_t> packed_bits,

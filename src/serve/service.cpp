@@ -62,7 +62,8 @@ struct EvaluatorService::Request {
   /// Phase spans, seeded by the transport (wire decode) and grown here.
   sw::obs::TraceContext trace;
   bool defer_trace = false;
-  /// Queue-wait span opened at post, closed when a worker picks it up.
+  /// Queue-wait span opened at post, closed when a worker picks it up (at
+  /// once for a request run inline).
   std::size_t queue_slot = sw::obs::TraceContext::kNoSlot;
   /// Exactly one of the two delivery channels is armed: submit() requests
   /// settle `promise`, submit_async() requests invoke `done`.
@@ -161,6 +162,14 @@ void EvaluatorService::post_request(EvalRequest&& source,
   }
   request->trace.id = request->id;
   request->queue_slot = request->trace.begin(sw::obs::Phase::kQueue);
+  if (source.run_small_hits_inline && request->program &&
+      num_words <= sw::wavesim::kernels::kPlaneWords) {
+    // A cached one-plane-group batch evaluates in less time than a queue
+    // hand-off takes: run the worker's body here (its kQueue span closes
+    // at once) and settle before returning to the submitter.
+    process(request.release());
+    return;
+  }
   // Hand the queue a raw pointer: the two-word closure stays within
   // std::function's small-buffer optimisation (no allocation per post),
   // and process() reclaims ownership immediately.

@@ -15,9 +15,18 @@
 // (building it on a cold miss), run its bit-plane evaluate_bits, return
 // the last stage's bits — and the steady-state cost of a repeated target
 // is just that evaluation. Only a ProgramSpec request's trace splits the
-// kernel span into per-stage kStage spans, however many stages it has. The submit fast path resolves a cached entry
-// without copying the target; a miss hands a copy to a worker, where
-// construction is serialised per key behind the cache entry.
+// kernel span into per-stage kStage spans, however many stages it has.
+//
+// Where a request runs: the submit fast path resolves a cached entry
+// without copying the target; a miss hands a copy to a pool worker, where
+// construction is serialised per key behind the cache entry. A cached
+// request normally queues for a pool worker too. The one exception is a
+// request that sets EvalRequest::run_small_hits_inline (the event server
+// does): when its program was cached at submit and its batch fits one
+// 64-word plane group, the submitting thread runs the same worker body
+// itself, so no plan or program is ever built on that thread. Admission,
+// stats, histograms, spans (kQueue then closes as it opens) and both hooks
+// are the same on either thread.
 #pragma once
 
 #include <cstdint>
@@ -56,13 +65,15 @@ struct ServiceOptions {
   /// few-but-huge-batch workloads.
   sw::wavesim::BatchOptions evaluator_options{.num_threads = 1};
   AdmissionOptions admission;
-  /// Observability hook: called on the worker thread right after a request
-  /// leaves the queue, before its evaluation starts. Useful for metrics
-  /// and tracing; tests use it to hold workers in place deterministically.
+  /// Observability hook: called on the thread that evaluates the request
+  /// (a pool worker, or the submitting thread for a request run inline)
+  /// right after it leaves the queue, before its evaluation starts. Useful
+  /// for metrics and tracing; tests use it to hold workers in place
+  /// deterministically and to see which thread ran a request.
   std::function<void(std::uint64_t request_id)> on_request_start;
-  /// Completion hook: called on the worker thread once a request has fully
-  /// settled (accounting released, success or failure alike), with its
-  /// submit-to-completion latency. The same latency feeds
+  /// Completion hook: called on the evaluating thread once a request has
+  /// fully settled (accounting released, success or failure alike), with
+  /// its submit-to-completion latency. The same latency feeds
   /// ServiceStats::request_latency whether or not a hook is installed.
   std::function<void(std::uint64_t request_id, double latency_seconds)>
       on_request_finish;
@@ -133,8 +144,8 @@ struct ServiceStats {
 class EvaluatorService {
  public:
   /// Completion callback of submit_async: exactly one of result/error is
-  /// meaningful — `error` is null on success. Runs on the worker thread
-  /// that evaluated the request, after the request has fully settled
+  /// meaningful — `error` is null on success. Runs on the thread that
+  /// evaluated the request, after the request has fully settled
   /// (accounting released, stats updated), so the callback may safely
   /// re-submit or inspect stats().
   using CompletionFn =
@@ -169,8 +180,10 @@ class EvaluatorService {
   /// Callback-style submit for event-driven callers (the epoll serving
   /// core) that must not park a thread in future.get(): same admission,
   /// plan-cache and accounting path as submit(), but completion is
-  /// delivered by invoking `done` on the worker thread. Exceptions thrown
-  /// by `done` itself are swallowed (the request has already settled).
+  /// delivered by invoking `done` on the evaluating thread: a pool worker,
+  /// or — for a cached small request that set run_small_hits_inline — the
+  /// caller itself, before submit_async returns. Exceptions thrown by
+  /// `done` itself are swallowed (the request has already settled).
   void submit_async(EvalRequest request, CompletionFn done);
 
   ServiceStats stats() const;

@@ -3,7 +3,9 @@
 // envelope, EvalServer end-to-end against the in-process evaluator
 // (including pipelined tagged out-of-order completion, kShed mapping to
 // a typed error frame on a surviving connection, connection-cap refusal
-// with a live accept loop, metrics scraping and layout-hash rejection),
+// with a live accept loop, metrics scraping, layout-hash rejection, small
+// cached requests running on the event thread while cold or larger ones
+// run on the pool, and frames reassembled across arbitrary reads),
 // the worker registry (advert codec, TTL upsert/expiry, tag echo), and
 // the SweepCoordinator's distributed exhaustive sweep with registry
 // discovery, straggler re-sharding, bit-exact duplicate deduplication
@@ -841,6 +843,233 @@ TEST(EvalServer, PipelinedTaggedRequestsCompleteOutOfOrder) {
   const auto counters = fx.server.counters();
   EXPECT_EQ(counters.frames_received, kDepth);
   EXPECT_EQ(counters.responses_sent, kDepth);
+  EXPECT_EQ(counters.errors_sent, 0u);
+}
+
+/// Thread ids recorded by ServiceOptions::on_request_start, in start order.
+struct StartThreads {
+  std::mutex mutex;
+  std::vector<std::thread::id> ids;
+
+  std::function<void(std::uint64_t)> hook() {
+    return [this](std::uint64_t) {
+      std::lock_guard<std::mutex> lock(mutex);
+      ids.push_back(std::this_thread::get_id());
+    };
+  }
+  std::thread::id last() {
+    std::lock_guard<std::mutex> lock(mutex);
+    return ids.empty() ? std::thread::id() : ids.back();
+  }
+};
+
+TEST(EvalServer, SmallCachedRequestsRunOnTheEventThread) {
+  // One pool worker, whose thread a direct submit() reveals. A served
+  // request runs on that worker unless its program was cached at submit
+  // and it fits one 64-word plane group: then the event thread runs it.
+  StartThreads started;
+  sw::serve::ServiceOptions options;
+  options.num_threads = 1;
+  options.on_request_start = started.hook();
+  ServerFixture fx(loopback(), std::move(options));
+
+  const GateLayout probe = fx.designer.design(majority_spec(3, 3));
+  (void)fx.service
+      .submit(sw::serve::EvalRequest::for_layout(
+          probe, random_matrix(4, 3 * 3, 1), 4))
+      .get();
+  const std::thread::id worker = started.last();
+  ASSERT_NE(worker, std::thread::id());
+
+  const GateLayout layout = fx.designer.design(majority_spec(3, 2));
+  const std::size_t slots = 2 * 3;
+  const WaveEngine engine(fx.model, fx.wg.material.alpha);
+  const DataParallelGate gate(layout, engine);
+  const BatchEvaluator evaluator(gate);
+  auto conn = Connection::connect(fx.server.local_endpoint(), 2000ms);
+  // The hook runs before the reply is written, so once the reply is in,
+  // started.last() is the thread that ran this request.
+  const auto served_on = [&](std::size_t words, unsigned seed) {
+    const auto matrix = random_matrix(words, slots, seed);
+    send_message(conn,
+                 make_frame_message(sw::serve::make_request_frame(
+                     layout, 0, words, matrix)),
+                 2000ms);
+    const auto response = recv_frame(conn, 10000ms);
+    EXPECT_TRUE(response.has_value());
+    if (response) {
+      EXPECT_EQ(response->matrix, evaluator.evaluate_bits(words, matrix))
+          << words << " words";
+    }
+    return started.last();
+  };
+
+  EXPECT_EQ(served_on(8, 2), worker) << "a cold request builds on the pool";
+  const std::thread::id event_thread = served_on(8, 3);
+  EXPECT_NE(event_thread, worker) << "a cached 8-word request ran on the pool";
+  EXPECT_NE(event_thread, std::this_thread::get_id());
+  for (unsigned seed = 4; seed < 8; ++seed) {
+    EXPECT_EQ(served_on(8, seed), event_thread);
+  }
+  EXPECT_EQ(served_on(sw::wavesim::kernels::kPlaneWords, 8), event_thread);
+  EXPECT_EQ(served_on(sw::wavesim::kernels::kPlaneWords + 1, 9), worker)
+      << "a cached 65-word request must stay on the pool";
+
+  // Inline requests keep the service's accounting and the server's.
+  const auto stats = fx.service.stats();
+  EXPECT_EQ(stats.completed, 9u);
+  EXPECT_EQ(stats.queue_wait.count, 9u);
+  EXPECT_EQ(stats.inflight_words, 0u);
+  EXPECT_EQ(stats.queued_requests, 0u);
+  EXPECT_EQ(fx.server.counters().responses_sent, 8u);
+}
+
+TEST(EvalServer, PipelinedColdAndCachedSmallRequestsAnswerEveryTag) {
+  // One burst in one write, interleaving 8-word requests against a warm
+  // layout (run inline on the event thread) with requests against two
+  // cold ones (built and run on the pool, their completions queued back):
+  // every tag must come back once, bit-exact.
+  sw::serve::ServiceOptions options;
+  options.num_threads = 2;
+  ServerFixture fx(loopback(), std::move(options));
+  const WaveEngine engine(fx.model, fx.wg.material.alpha);
+  struct Target {
+    GateLayout layout;
+    std::uint64_t hash = 0;
+    std::size_t slots = 0;
+    std::unique_ptr<DataParallelGate> gate;
+  };
+  std::vector<Target> targets;
+  for (const std::size_t n : {2, 3, 4}) {
+    Target t;
+    t.layout = fx.designer.design(majority_spec(3, n));
+    t.hash = sw::serve::hash_layout(t.layout);
+    t.slots = n * 3;
+    t.gate = std::make_unique<DataParallelGate>(t.layout, engine);
+    targets.push_back(std::move(t));
+  }
+  constexpr std::size_t kWords = 8;
+  auto conn = Connection::connect(fx.server.local_endpoint(), 2000ms);
+  {
+    const auto warm = random_matrix(kWords, targets[0].slots, 1);
+    send_message(conn,
+                 make_frame_message(sw::serve::make_request_frame(
+                     targets[0].layout, 0, kWords, warm)),
+                 2000ms);
+    ASSERT_TRUE(recv_frame(conn, 10000ms).has_value());
+  }
+
+  constexpr std::size_t kBurst = 15;
+  std::vector<std::vector<std::uint8_t>> matrices;
+  std::vector<std::uint8_t> burst;
+  for (std::size_t tag = 0; tag < kBurst; ++tag) {
+    const Target& t = targets[tag % targets.size()];
+    matrices.push_back(random_matrix(kWords, t.slots,
+                                     static_cast<unsigned>(100 + tag)));
+    append_frame_message(
+        burst,
+        sw::serve::make_request_view(t.layout.spec, t.hash, tag * kWords,
+                                     kWords, matrices.back()),
+        tag);
+  }
+  conn.send_all(burst, 5000ms);
+
+  std::vector<bool> seen(kBurst, false);
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    auto message = recv_message(conn, 60000ms);
+    ASSERT_TRUE(message.has_value());
+    ASSERT_EQ(message->kind, MessageKind::kFrame);
+    const std::uint64_t tag = message->tag;
+    ASSERT_LT(tag, kBurst);
+    EXPECT_FALSE(seen[tag]) << "tag " << tag << " answered twice";
+    seen[tag] = true;
+    const Target& t = targets[tag % targets.size()];
+    const auto frame = sw::serve::decode_frame(message->payload);
+    EXPECT_EQ(frame.word_offset, tag * kWords);
+    EXPECT_EQ(frame.num_words, kWords);
+    EXPECT_EQ(frame.matrix,
+              BatchEvaluator(*t.gate).evaluate_bits(kWords, matrices[tag]))
+        << "wrong bits for tag " << tag;
+  }
+  const auto counters = fx.server.counters();
+  EXPECT_EQ(counters.responses_sent, kBurst + 1);
+  EXPECT_EQ(counters.errors_sent, 0u);
+}
+
+TEST(EvalServer, ReassemblesFramesAcrossArbitraryReadBoundaries) {
+  // The receive buffer grows and reuses its capacity without ever
+  // zero-filling it. Three shapes of input must all round-trip bit-exact:
+  // a frame trickled one byte per write; a frame larger than one 256 KiB
+  // read chunk; and two frames in one write whose boundary leaves the
+  // second frame's envelope header split across writes.
+  ServerFixture fx(loopback());
+  const GateLayout layout = fx.designer.design(majority_spec(3, 8));
+  const std::uint64_t hash = sw::serve::hash_layout(layout);
+  const std::size_t slots = 8 * 3;
+  const WaveEngine engine(fx.model, fx.wg.material.alpha);
+  const DataParallelGate gate(layout, engine);
+  const BatchEvaluator evaluator(gate);
+
+  struct Request {
+    std::uint64_t tag;
+    std::size_t words;
+    std::vector<std::uint8_t> matrix;
+    std::vector<std::uint8_t> bytes;
+  };
+  std::vector<Request> requests;
+  for (const auto& [tag, words] :
+       {std::pair<std::uint64_t, std::size_t>{1, 8}, {2, 100000}, {3, 5}}) {
+    Request r{tag, words, random_matrix(words, slots,
+                                        static_cast<unsigned>(tag)), {}};
+    append_frame_message(
+        r.bytes, sw::serve::make_request_view(layout.spec, hash, 0, words,
+                                              r.matrix),
+        tag);
+    requests.push_back(std::move(r));
+  }
+  ASSERT_GT(requests[1].bytes.size(), std::size_t{256} << 10)
+      << "the large frame must exceed one read chunk";
+  static_assert(kMessageHeaderSize > 10, "the split must fall in a header");
+
+  auto conn = Connection::connect(fx.server.local_endpoint(), 2000ms);
+  for (const std::uint8_t byte : requests[0].bytes) {
+    conn.send_all({&byte, 1}, 2000ms);
+    std::this_thread::sleep_for(100us);
+  }
+  {
+    const auto response = recv_frame(conn, 10000ms);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->matrix,
+              evaluator.evaluate_bits(requests[0].words, requests[0].matrix));
+  }
+
+  // Write one: the large frame plus the first 10 header bytes of the
+  // small one. Write two: the rest of the small frame.
+  std::vector<std::uint8_t> first = requests[1].bytes;
+  first.insert(first.end(), requests[2].bytes.begin(),
+               requests[2].bytes.begin() + 10);
+  conn.send_all(first, 10000ms);
+  std::this_thread::sleep_for(20ms);
+  conn.send_all(std::span<const std::uint8_t>(requests[2].bytes).subspan(10),
+                2000ms);
+  // The 5-word frame runs inline while the large one runs on the pool, so
+  // either may answer first: match replies by tag.
+  for (int i = 0; i < 2; ++i) {
+    auto message = recv_message(conn, 60000ms);
+    ASSERT_TRUE(message.has_value());
+    ASSERT_EQ(message->kind, MessageKind::kFrame);
+    const auto it = std::find_if(
+        requests.begin() + 1, requests.end(),
+        [&](const Request& r) { return r.tag == message->tag; });
+    ASSERT_NE(it, requests.end()) << "unexpected tag " << message->tag;
+    const auto frame = sw::serve::decode_frame(message->payload);
+    EXPECT_EQ(frame.num_words, it->words);
+    EXPECT_EQ(frame.matrix, evaluator.evaluate_bits(it->words, it->matrix))
+        << "wrong bits for tag " << it->tag;
+  }
+  const auto counters = fx.server.counters();
+  EXPECT_EQ(counters.frames_received, 3u);
+  EXPECT_EQ(counters.responses_sent, 3u);
   EXPECT_EQ(counters.errors_sent, 0u);
 }
 
