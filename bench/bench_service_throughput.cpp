@@ -23,6 +23,7 @@
 #include "serve/service.h"
 #include "util/error.h"
 #include "wavesim/batch_evaluator.h"
+#include "wavesim/eval_program.h"
 #include "wavesim/kernels/kernel.h"
 #include "wavesim/wave_engine.h"
 
@@ -135,24 +136,26 @@ void run_experiment(bench::BenchJson& json) {
            words / service_s);
 
   // Kernel x precision side-by-side on the serving batch shape: the
-  // cached-plan steady state runs exactly this evaluate_bits call per
-  // request. Both precisions pinned explicitly so the rows mean the same
-  // thing on every CI leg.
+  // cached-plan steady state runs a layout as a one-stage EvalProgram, so
+  // this is the evaluate_bits call it makes per request (pack_planes,
+  // eval_planes, unpack). Both precisions pinned explicitly so the rows
+  // mean the same thing on every CI leg.
   {
-    const wavesim::BatchEvaluator f64(
-        s.gate,
+    const wavesim::EvalProgram f64(
+        s.layout, s.engine,
         {.num_threads = 1, .precision = wavesim::Precision::kFloat64});
-    const wavesim::BatchEvaluator f32(
-        s.gate,
+    const wavesim::EvalProgram f32(
+        s.layout, s.engine,
         {.num_threads = 1, .precision = wavesim::Precision::kFloat32});
-    SW_REQUIRE(f32.effective_precision() == wavesim::Precision::kFloat32,
+    SW_REQUIRE(f32.stage_plan(0).effective_precision() ==
+                   wavesim::Precision::kFloat32,
                "serving layout unexpectedly rejected the f32 plan");
-    const auto time_kernel = [&](const wavesim::BatchEvaluator& evaluator,
+    const auto time_kernel = [&](const wavesim::EvalProgram& program,
                                  const wavesim::kernels::Kernel& kernel) {
       return bench::best_of_three_seconds([&] {
         for (std::size_t i = 0; i < kBatches; ++i) {
           benchmark::DoNotOptimize(
-              evaluator.evaluate_bits(kWordsPerBatch, s.batch, kernel));
+              program.evaluate_bits(kWordsPerBatch, s.batch, kernel));
         }
       });
     };

@@ -762,7 +762,8 @@ const sw::core::GateLayout& EvalServer::layout_for(
     it->second = std::move(layout);
     return it->second;
   }
-  if (layouts_.size() >= options_.layout_cache_capacity) {
+  const std::size_t capacity = service_->plan_cache_capacity();
+  if (capacity != 0 && layouts_.size() >= capacity) {
     // The layout cache is a small redesign-avoidance map, not an LRU:
     // dropping an arbitrary entry under pressure is fine because misses
     // only cost a redesign, never a wrong answer.

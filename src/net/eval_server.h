@@ -90,9 +90,6 @@ struct EvalServerOptions {
   /// that sends but never reads otherwise grows the reply buffer without
   /// bound).
   std::size_t max_pending_write_bytes = 4u << 20;
-  /// Designed layouts cached by wire hash (each verified against its
-  /// request's spec); sized like the service plan cache it feeds.
-  std::size_t layout_cache_capacity = 32;
   /// When set, a heartbeat thread registers this worker with the registry
   /// at this endpoint every `heartbeat_interval`.
   std::optional<Endpoint> registry;
@@ -205,7 +202,8 @@ class EvalServer {
   ServerCounters counters_;
   /// Wire hash -> designed layout, each entry verified against the spec
   /// that produced it (a 64-bit collision therefore cannot alias two
-  /// specs: hits re-compare the full GateSpec). Event-thread only; no lock.
+  /// specs: hits re-compare the full GateSpec). Bounded like the service's
+  /// plan cache, which it feeds. Event-thread only; no lock.
   std::unordered_map<std::uint64_t, sw::core::GateLayout> layouts_;
 
   std::thread event_thread_;

@@ -3,12 +3,14 @@
 // The canonical layout serialisation (layout_hash.cpp) and the wire format
 // (wire.cpp) must agree byte-for-byte on integer/double encoding; keeping
 // one writer and one reader here means a width or byte-order slip cannot
-// diverge between them. ByteWriter is resize-once because the canonical
-// serialisation sits on the per-request fast path (every submit hashes its
-// layout) and must not pay a capacity check per byte; the append_* helpers
-// serve the wire encoder, where frames are assembled from variable-size
-// blocks. ByteReader is bounds-checked on every primitive so truncated
-// input fails loudly wherever it is cut.
+// diverge between them. ByteWriter sizes its buffer once per block because
+// the canonical serialisation sits on the per-request fast path (every
+// submit hashes its layout) and must not pay a capacity check per byte; it
+// also writes the wire frame's spec and program blocks, through the same
+// canonical writers (layout_hash.h). The append_* helpers serve the rest of
+// the wire encoder, where frames are assembled from variable-size blocks.
+// ByteReader is bounds-checked on every primitive so truncated input fails
+// loudly wherever it is cut.
 #pragma once
 
 #include <bit>
@@ -20,11 +22,19 @@
 
 namespace sw::serve::detail {
 
-/// Resize-once little-endian writer over a caller-owned vector.
+/// Little-endian writer appending to a caller-owned vector: the vector is
+/// grown in blocks (`bound` bytes up front, then reserve()), never per
+/// byte, and finish() trims it to what was written.
 class ByteWriter {
  public:
-  ByteWriter(std::vector<std::uint8_t>& out, std::size_t bound) : out_(out) {
-    out_.resize(bound);
+  explicit ByteWriter(std::vector<std::uint8_t>& out, std::size_t bound = 0)
+      : out_(out), pos_(out.size()) {
+    out_.resize(pos_ + bound);
+  }
+
+  /// Makes room for `n` more bytes; a no-op when the bound covers them.
+  void reserve(std::size_t n) {
+    if (out_.size() - pos_ < n) out_.resize(pos_ + n);
   }
 
   void u8(std::uint8_t v) { out_[pos_++] = v; }
@@ -42,7 +52,7 @@ class ByteWriter {
 
  private:
   std::vector<std::uint8_t>& out_;
-  std::size_t pos_ = 0;
+  std::size_t pos_;
 };
 
 /// In-place little-endian stores for patching already-sized buffers (the

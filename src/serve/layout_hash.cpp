@@ -16,7 +16,10 @@ constexpr std::uint64_t kCanonicalFormatTag = 0x73776c3176310001ull;  // "swl1v1
 // never alias layout bytes of any revision.
 constexpr std::uint64_t kProgramFormatTag = 0x7377707276310001ull;  // "swprv1"+rev
 
-void append_gate_spec(ByteWriter& w, const sw::core::GateSpec& spec) {
+}  // namespace
+
+void detail::append_gate_spec(ByteWriter& w, const sw::core::GateSpec& spec) {
+  w.reserve(56 + 8 * spec.frequencies.size() + spec.invert_output.size());
   w.u64(spec.num_inputs);
   w.u64(spec.frequencies.size());
   for (const double f : spec.frequencies) w.f64(f);
@@ -25,10 +28,27 @@ void append_gate_spec(ByteWriter& w, const sw::core::GateSpec& spec) {
   w.f64(spec.min_same_channel_spacing);
   w.i64(spec.multiple_search);
   w.u64(spec.invert_output.size());
+  // Normalise the flags so any nonzero truthy value hashes identically.
   for (const std::uint8_t b : spec.invert_output) w.u8(b ? 1 : 0);
 }
 
-}  // namespace
+void detail::append_program_spec(ByteWriter& w,
+                                 const sw::wavesim::ProgramSpec& program) {
+  w.reserve(16);
+  w.u64(program.num_primary_inputs);
+  w.u64(program.stages.size());
+  for (const auto& stage : program.stages) {
+    append_gate_spec(w, stage.gate);
+    w.reserve(8 + 18 * stage.sources.size());
+    w.u64(stage.sources.size());
+    for (const auto& src : stage.sources) {
+      w.u8(static_cast<std::uint8_t>(src.kind));
+      w.u64(src.stage);
+      w.u64(src.index);
+      w.u8(src.negated ? 1 : 0);
+    }
+  }
+}
 
 std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
                       std::uint64_t seed) {
@@ -76,17 +96,7 @@ std::vector<std::uint8_t> canonical_layout_bytes(
   ByteWriter w(out, bound);
 
   w.u64(kCanonicalFormatTag);
-
-  w.u64(spec.num_inputs);
-  w.u64(spec.frequencies.size());
-  for (const double f : spec.frequencies) w.f64(f);
-  w.f64(spec.transducer_width);
-  w.f64(spec.min_gap);
-  w.f64(spec.min_same_channel_spacing);
-  w.i64(spec.multiple_search);
-  w.u64(spec.invert_output.size());
-  // Normalise the flags so any nonzero truthy value hashes identically.
-  for (const std::uint8_t b : spec.invert_output) w.u8(b ? 1 : 0);
+  detail::append_gate_spec(w, spec);
 
   w.u64(layout.wavelengths.size());
   for (const double wl : layout.wavelengths) w.f64(wl);
@@ -127,18 +137,7 @@ std::vector<std::uint8_t> canonical_program_bytes(
   ByteWriter w(out, bound);
 
   w.u64(kProgramFormatTag);
-  w.u64(program.num_primary_inputs);
-  w.u64(program.stages.size());
-  for (const auto& stage : program.stages) {
-    append_gate_spec(w, stage.gate);
-    w.u64(stage.sources.size());
-    for (const auto& src : stage.sources) {
-      w.u8(static_cast<std::uint8_t>(src.kind));
-      w.u64(src.stage);
-      w.u64(src.index);
-      w.u8(src.negated ? 1 : 0);
-    }
-  }
+  detail::append_program_spec(w, program);
   w.finish();
   return out;
 }

@@ -65,6 +65,25 @@ std::vector<std::uint8_t> canonical_program_bytes(
 /// of hash_layout(), used as the v3 frame routing hash.
 std::uint64_t hash_program(const sw::wavesim::ProgramSpec& program);
 
+namespace detail {
+class ByteWriter;
+
+/// The one GateSpec serialisation: num_inputs, the length-prefixed
+/// frequencies, transducer_width, min_gap, min_same_channel_spacing,
+/// multiple_search and the length-prefixed invert flags (each written as
+/// 0/1). Canonical layout bytes, canonical program bytes and the wire's
+/// v2 spec block all write a spec through this.
+void append_gate_spec(ByteWriter& w, const sw::core::GateSpec& spec);
+
+/// The one ProgramSpec serialisation: num_primary_inputs, the stage
+/// count, then per stage its GateSpec (append_gate_spec) and its
+/// length-prefixed sources (u8 kind, u64 stage, u64 index, u8 negated).
+/// canonical_program_bytes prefixes it with the format tag; the wire's v3
+/// program block wraps it in a block format and a checksum.
+void append_program_spec(ByteWriter& w,
+                         const sw::wavesim::ProgramSpec& program);
+}  // namespace detail
+
 /// Collision-safe plan-cache key: the hash indexes the cache, the canonical
 /// bytes back equality, so two distinct layouts that collide on the 64-bit
 /// hash still occupy distinct cache entries.

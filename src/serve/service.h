@@ -191,6 +191,8 @@ class EvaluatorService {
   /// The designer backing program builds (shared with the plan cache).
   const sw::core::InlineGateDesigner& designer() const { return designer_; }
   std::size_t num_threads() const { return pool_.size(); }
+  /// ServiceOptions::plan_cache_capacity (0 = unbounded).
+  std::size_t plan_cache_capacity() const { return cache_.capacity(); }
 
   /// The ring of settled request traces: the trace endpoint snapshots it,
   /// transports that defer recording (see EvalRequest::defer_trace_record)

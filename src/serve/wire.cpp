@@ -15,7 +15,7 @@ namespace sw::serve {
 namespace {
 
 using detail::ByteReader;
-using detail::append_f64;
+using detail::ByteWriter;
 using detail::append_u16;
 using detail::append_u32;
 using detail::append_u64;
@@ -26,20 +26,6 @@ constexpr std::size_t kHeaderSize = 64;
 // is ever consulted.
 constexpr std::uint64_t kMaxWords = std::uint64_t{1} << 32;
 constexpr std::uint64_t kMaxCols = std::uint64_t{1} << 20;
-
-void append_spec(std::vector<std::uint8_t>& out,
-                 const sw::core::GateSpec& spec) {
-  append_u64(out, spec.num_inputs);
-  append_u64(out, spec.frequencies.size());
-  for (const double f : spec.frequencies) append_f64(out, f);
-  append_f64(out, spec.transducer_width);
-  append_f64(out, spec.min_gap);
-  append_f64(out, spec.min_same_channel_spacing);
-  append_u64(out, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(spec.multiple_search)));
-  append_u64(out, spec.invert_output.size());
-  for (const std::uint8_t b : spec.invert_output) out.push_back(b ? 1 : 0);
-}
 
 /// Read one GateSpec's fields from the current reader position (shared by
 /// the v2 spec block and each stage of the v3 program block).
@@ -94,18 +80,9 @@ void append_program(std::vector<std::uint8_t>& out,
                     const sw::wavesim::ProgramSpec& program) {
   const std::size_t block_at = out.size();
   append_u16(out, kProgramBlockFormat);
-  append_u64(out, program.num_primary_inputs);
-  append_u64(out, program.stages.size());
-  for (const auto& stage : program.stages) {
-    append_spec(out, stage.gate);
-    append_u64(out, stage.sources.size());
-    for (const auto& src : stage.sources) {
-      out.push_back(static_cast<std::uint8_t>(src.kind));
-      append_u64(out, src.stage);
-      append_u64(out, src.index);
-      out.push_back(src.negated ? 1 : 0);
-    }
-  }
+  ByteWriter w(out);
+  detail::append_program_spec(w, program);
+  w.finish();
   append_u64(out, chunked_fnv1a64(
                       {out.data() + block_at, out.size() - block_at}));
 }
@@ -363,7 +340,11 @@ void encode_frame_into(const SweepFrameView& frame,
   append_u64(out, 0);  // payload_size, patched below
   append_u64(out, 0);  // checksum, patched over the assembled body
 
-  if (frame.spec) append_spec(out, *frame.spec);
+  if (frame.spec) {
+    ByteWriter w(out);
+    detail::append_gate_spec(w, *frame.spec);
+    w.finish();
+  }
   if (frame.program) append_program(out, *frame.program);
   const std::size_t spec_size = out.size() - base - kHeaderSize;
 

@@ -27,14 +27,16 @@ const Kernel* avx2_kernel() {
 }
 
 const Kernel* avx512_kernel() {
-  // AVX512F covers the compute (masked blends, wide adds, mask compares);
-  // BW is checked for the byte-granularity mask transposes (shared contract
-  // with the AVX-512 wire codec), VL for the xmm-width masked ops in the
-  // mixed kernel's decode transpose. Every BW part ships VL (the one VL-less
-  // AVX-512 line, Knights Landing, lacked BW too), so the triple gate does
-  // not narrow real hardware coverage.
+  // AVX2 because the table's pack_planes and eval_channels are the AVX2
+  // kernel's. AVX512F covers the compute (masked blends, wide adds, mask
+  // compares); BW is checked for the byte-granularity mask transposes
+  // (shared contract with the AVX-512 wire codec), VL for the xmm-width
+  // masked ops in the mixed kernel's decode transpose. Every BW part ships
+  // VL and AVX2 (the one VL-less AVX-512 line, Knights Landing, lacked BW
+  // too), so the gate does not narrow real hardware coverage.
 #if defined(__x86_64__) || defined(__i386__)
-  static const Kernel* kernel = (__builtin_cpu_supports("avx512f") &&
+  static const Kernel* kernel = (__builtin_cpu_supports("avx2") &&
+                                 __builtin_cpu_supports("avx512f") &&
                                  __builtin_cpu_supports("avx512bw") &&
                                  __builtin_cpu_supports("avx512vl"))
                                     ? detail::avx512_kernel_candidate()

@@ -42,11 +42,9 @@
 //     into column planes (any nonzero byte is a 1, as in the byte
 //     entry). On a one-stage program it is most of the plane path's
 //     overhead over the byte entry, so it is a kernel entry: the scalar
-//     kernel packs 8 words x 8 columns per SWAR tile (the reference),
+//     kernel packs 8 words x 8 columns per SWAR tile (the reference), and
 //     AVX2 builds the same tiles 32 columns wide and byte-transposes eight
-//     of them into 64-bit planes, and AVX-512 ORs each word's
-//     nonzero-column mask (one masked byte load + byte test, the idiom of
-//     eval_bits' mask build) into 64-bit plane lanes.
+//     of them into 64-bit planes.
 //
 //   * eval_planes — the ONE plane entry: decodes num_groups whole groups
 //     over the plan's f32 run [0, plan.num_f32_detectors()) and then its
@@ -57,13 +55,28 @@
 //     group is decoded, and lanes past the caller's last word decode
 //     whatever the input planes hold there — callers drop them on unpack.
 //
-// Three implementations exist, a ladder of identical semantics at
-// increasing width: a portable scalar reference, an AVX2 kernel (four
-// words per 256-bit register in double, eight in f32) and an AVX-512
-// kernel (eight words per 512-bit register in double, sixteen in f32).
-// Both vector kernels evaluate lane-for-lane in the scalar accumulation
-// order, so every entry point decodes bit-for-bit identically to its
-// scalar counterpart, whichever pass a vector kernel selects.
+// Three kernels exist, a ladder of identical semantics at increasing
+// width: a portable scalar reference, an AVX2 kernel (four words per
+// 256-bit register in double, eight in f32) and an AVX-512 kernel (eight
+// words per 512-bit register in double, sixteen in f32). The vector code
+// evaluates lane-for-lane in the scalar accumulation order, so every entry
+// point decodes bit-for-bit identically to its scalar counterpart,
+// whichever pass a vector kernel selects.
+//
+// A wider kernel keeps its own copy of an entry only when that copy is
+// faster on a shape a serving workload or a bench floor runs; otherwise
+// its table points at the next kernel down. Today:
+//
+//   entry          scalar   avx2     avx512
+//   eval_bits      scalar   avx2     avx512  (~3x avx2)
+//   eval_planes    scalar   avx2     avx512  (~2.5-3x avx2)
+//   pack_planes    scalar   avx2     avx2    (an AVX-512 pack was slower
+//                                            at 24 and 32 columns)
+//   eval_channels  scalar   avx2     avx2    (decide_phase dominates; no
+//                                            workload or floor runs it)
+//
+// So the AVX-512 kernel exists only where the AVX2 kernel does, by build
+// (CMake compiles its TU only next to the AVX2 one) and by CPUID.
 //
 // Selection happens once per process on first use: the SW_EVAL_KERNEL
 // environment variable overrides (accepted values are exactly the kernel
@@ -145,7 +158,9 @@ const Kernel& scalar_kernel();
 const Kernel* avx2_kernel();
 
 /// AVX-512 kernel, or nullptr when the build lacks AVX-512 codegen or the
-/// CPU lacks the instructions (requires AVX512F + AVX512BW).
+/// CPU lacks the instructions (requires AVX2 — whose pack_planes and
+/// eval_channels it uses — plus AVX512F, AVX512BW and AVX512VL). Null
+/// wherever avx2_kernel() is.
 const Kernel* avx512_kernel();
 
 namespace detail {
@@ -162,6 +177,17 @@ const Kernel* avx2_kernel_candidate();
 /// bare constant return from the -mavx512f/-mavx512bw TU. Only
 /// avx512_kernel() may call this.
 const Kernel* avx512_kernel_candidate();
+
+/// The AVX2 kernel's pack_planes and eval_channels, named so the AVX-512
+/// table can share them (defined only in builds with AVX2 codegen, which
+/// every AVX-512 build has). AVX2-encoded: reach them only through a
+/// kernel table that passed its CPUID check.
+void pack_planes_avx2(const std::uint8_t* rows, std::size_t cols,
+                      std::size_t num_words, std::size_t num_groups,
+                      std::uint64_t* planes);
+void eval_channels_avx2(const EvalPlan& plan, const std::uint8_t* bits,
+                        std::size_t begin, std::size_t end,
+                        sw::core::ChannelResult* out);
 
 /// Scalar reference loops restricted to the plan-order detector range
 /// [d_begin, d_end) — the two runs of the scalar eval_bits and the vector

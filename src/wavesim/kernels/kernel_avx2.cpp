@@ -27,7 +27,9 @@
 // blends read — one shift per lane group instead of a byte transpose.
 // Its pack_planes entry builds the scalar pack's 8-word tiles 32 columns
 // at a time (a byte compare per word) and turns a group's eight tiles into
-// planes with the unpack 8/16/32 byte transpose.
+// planes with the unpack 8/16/32 byte transpose. The AVX-512 kernel's
+// table uses this pack_planes and eval_channels too (see kernel.h), so
+// both live in `detail` rather than the anonymous namespace.
 //
 // This translation unit is compiled with -mavx2 (CMake adds the flag only
 // for this file when the compiler supports it and the target is x86); every
@@ -346,13 +348,15 @@ void eval_planes_avx2(const EvalPlan& plan, const std::uint64_t* in,
   eval_planes_f64_avx2(plan, in, num_groups, out, kf, plan.num_detectors());
 }
 
+}  // namespace
+
 /// pack_planes, per 64-word group and 32-column chunk at c0: byte c of
 /// tile b holds column c0 + c's bits of words 8 b .. 8 b + 7 (bit k = word
 /// 8 b + k), so plane c0 + c is bytes T0[c] .. T7[c] — an 8 x 32 byte
 /// transpose, done within 128-bit lanes by three unpack rounds.
-void pack_planes_avx2(const std::uint8_t* rows, std::size_t cols,
-                      std::size_t num_words, std::size_t num_groups,
-                      std::uint64_t* planes) {
+void detail::pack_planes_avx2(const std::uint8_t* rows, std::size_t cols,
+                              std::size_t num_words, std::size_t num_groups,
+                              std::uint64_t* planes) {
   const std::size_t total = num_words * cols;
   const __m256i zero = _mm256_setzero_si256();
   for (std::size_t g = 0; g < num_groups; ++g) {
@@ -417,9 +421,10 @@ void pack_planes_avx2(const std::uint8_t* rows, std::size_t cols,
   }
 }
 
-void eval_channels_avx2(const EvalPlan& plan, const std::uint8_t* bits,
-                        std::size_t begin, std::size_t end,
-                        sw::core::ChannelResult* out) {
+void detail::eval_channels_avx2(const EvalPlan& plan,
+                                const std::uint8_t* bits, std::size_t begin,
+                                std::size_t end,
+                                sw::core::ChannelResult* out) {
   const auto offsets = plan.detector_offsets();
   const auto det_channel = plan.detector_channels();
   const auto results = plan.detector_results();
@@ -495,8 +500,6 @@ void eval_channels_avx2(const EvalPlan& plan, const std::uint8_t* bits,
   if (w < end) scalar_kernel().eval_channels(plan, bits, w, end, out);
 }
 
-}  // namespace
-
 const Kernel* detail::avx2_kernel_candidate() {
   // Deliberately no CPUID check and no static-init machinery here: this TU
   // is compiled with -mavx2, so any non-trivial code in it could be
@@ -505,8 +508,8 @@ const Kernel* detail::avx2_kernel_candidate() {
   static constexpr Kernel kernel{"avx2",
                                  &eval_bits_avx2,
                                  &eval_planes_avx2,
-                                 &pack_planes_avx2,
-                                 &eval_channels_avx2};
+                                 &detail::pack_planes_avx2,
+                                 &detail::eval_channels_avx2};
   return &kernel;
 }
 

@@ -1,5 +1,10 @@
 // AVX-512 kernel: eight words per __m512d (sixteen per __m512 in f32), one
-// word per lane.
+// word per lane. It implements only the two entries where the width pays:
+// eval_bits (about 3x the AVX2 pass) and eval_planes (about 2.5-3x). Its
+// table borrows pack_planes and eval_channels from the AVX2 kernel — a
+// masked-byte-load pack measured slower than AVX2's tile transpose at the
+// 24- and 32-column serving shapes, and the ChannelResult decode is
+// dominated by the scalar decide_phase either way (see kernel.h).
 //
 // Same bit-exactness argument as the AVX2 kernel — vectorise across words,
 // never across a detector's contributions, so lane l's accumulation is the
@@ -23,18 +28,15 @@
 // IS eight __mmask8s (or four __mmask16s) side by side, so lane group k's
 // select mask is just byte (or u16) k of the plane, and the eight (four)
 // verdict masks of a detector concatenate back into its channel's plane.
-// Building planes from bytes (pack_planes) reuses the byte entries' mask
-// idiom: one masked byte load + byte test per word gives that word's
-// nonzero-column __mmask64, whose bytes key masked ORs of the word's bit
-// into eight 64-bit plane lanes per vector.
 //
-// This translation unit is compiled with -mavx512f -mavx512bw (CMake adds
-// the flags only for this file when the compiler supports them and the
-// target is x86); nothing in it executes unless the CPUID check in
-// dispatch.cpp (a portable TU) confirmed AVX512F+BW first, or the
-// candidate getter — a bare constant return — is called. The compute below
-// needs only AVX512F; BW rides along so the kernel and the AVX-512 wire
-// codec (byte-granularity mask ops) advertise one CPU contract.
+// This translation unit is compiled with -mavx512f -mavx512bw -mavx512vl,
+// and only in builds that also compile the AVX2 kernel (CMake adds the
+// flags only for this file when the compiler supports them and the target
+// is x86); nothing in it executes unless the CPUID check in dispatch.cpp
+// (a portable TU) confirmed AVX2+AVX512F+BW+VL first, or the candidate
+// getter — a bare constant return — is called. The compute below needs
+// only AVX512F; BW rides along so the kernel and the AVX-512 wire codec
+// (byte-granularity mask ops) advertise one CPU contract.
 #include "wavesim/kernels/kernel.h"
 
 #if defined(SWLOGIC_EVAL_AVX512) && \
@@ -43,13 +45,9 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <complex>
 #include <span>
 #include <vector>
 
-#include "core/detector.h"
-#include "core/encoding.h"
-#include "core/gate.h"
 #include "wavesim/eval_plan.h"
 
 namespace sw::wavesim::kernels {
@@ -322,59 +320,6 @@ void eval_bits_avx512(const EvalPlan& plan, const std::uint8_t* bits,
   }
 }
 
-/// pack_planes over one chunk of kVecs x 8 columns starting at c0 (the
-/// chunk's last vector may be partial): acc[v] lane j accumulates column
-/// c0 + 8 v + j's plane, word by word.
-template <std::size_t kVecs>
-void pack_chunk_avx512(const std::uint8_t* rows, std::size_t cols,
-                       std::size_t c0, std::size_t num_words,
-                       std::size_t num_groups, std::uint64_t* planes) {
-  const std::size_t width = std::min<std::size_t>(64, cols - c0);
-  const __mmask64 tail = chunk_tail_mask(width);
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    const std::size_t w0 = g * kPlaneWords;
-    const std::size_t count =
-        w0 < num_words ? std::min(kPlaneWords, num_words - w0) : 0;
-    __m512i acc[kVecs];
-    for (std::size_t v = 0; v < kVecs; ++v) acc[v] = _mm512_setzero_si512();
-    for (std::size_t l = 0; l < count; ++l) {
-      const __m512i bytes =
-          _mm512_maskz_loadu_epi8(tail, rows + (w0 + l) * cols + c0);
-      const __mmask64 nz = _mm512_test_epi8_mask(bytes, bytes);
-      const __m512i bit = _mm512_set1_epi64(
-          static_cast<long long>(std::uint64_t{1} << l));
-      for (std::size_t v = 0; v < kVecs; ++v) {
-        acc[v] = _mm512_mask_or_epi64(
-            acc[v], static_cast<__mmask8>(nz >> (8 * v)), acc[v], bit);
-      }
-    }
-    alignas(64) std::uint64_t lanes[8 * kVecs];
-    for (std::size_t v = 0; v < kVecs; ++v) {
-      _mm512_store_si512(lanes + 8 * v, acc[v]);
-    }
-    for (std::size_t j = 0; j < width; ++j) {
-      planes[(c0 + j) * num_groups + g] = lanes[j];
-    }
-  }
-}
-
-void pack_planes_avx512(const std::uint8_t* rows, std::size_t cols,
-                        std::size_t num_words, std::size_t num_groups,
-                        std::uint64_t* planes) {
-  // One instantiation per chunk vector count, so the accumulators stay in
-  // registers (the paper's 24-slot gate needs three).
-  using PackChunk = void (*)(const std::uint8_t*, std::size_t, std::size_t,
-                             std::size_t, std::size_t, std::uint64_t*);
-  static constexpr PackChunk kPackChunk[8] = {
-      &pack_chunk_avx512<1>, &pack_chunk_avx512<2>, &pack_chunk_avx512<3>,
-      &pack_chunk_avx512<4>, &pack_chunk_avx512<5>, &pack_chunk_avx512<6>,
-      &pack_chunk_avx512<7>, &pack_chunk_avx512<8>};
-  for (std::size_t c0 = 0; c0 < cols; c0 += 64) {
-    const std::size_t vecs = (std::min<std::size_t>(64, cols - c0) + 7) / 8;
-    kPackChunk[vecs - 1](rows, cols, c0, num_words, num_groups, planes);
-  }
-}
-
 /// One precision run of eval_planes: per 64-word group and detector, all
 /// 64 lanes at once — kGroups independent accumulators of kLanes words
 /// each, so the adds of one contribution overlap instead of chaining.
@@ -458,81 +403,19 @@ void eval_planes_avx512(const EvalPlan& plan, const std::uint64_t* in,
                                  plan.re1());
 }
 
-void eval_channels_avx512(const EvalPlan& plan, const std::uint8_t* bits,
-                          std::size_t begin, std::size_t end,
-                          sw::core::ChannelResult* out) {
-  const auto offsets = plan.detector_offsets();
-  const auto det_channel = plan.detector_channels();
-  const auto results = plan.detector_results();
-  const auto re0 = plan.re0();
-  const auto im0 = plan.im0();
-  const auto re1 = plan.re1();
-  const auto im1 = plan.im1();
-  const auto slots = plan.slots();
-  const std::size_t stride = plan.slot_count();
-  const std::size_t detectors = plan.num_detectors();
-
-  std::uint8_t stack_masks[kStackSlots];
-  std::vector<std::uint8_t> heap_masks;
-  std::uint8_t* masks = stack_masks;
-  if (stride > kStackSlots) {
-    heap_masks.resize(stride);
-    masks = heap_masks.data();
-  }
-
-  const std::uint8_t* words[8];
-  std::size_t w = begin;
-  for (; w + 8 <= end; w += 8) {
-    for (std::size_t l = 0; l < 8; ++l) words[l] = bits + (w + l) * stride;
-    build_masks_u8(words, stride, masks);
-
-    for (std::size_t d = 0; d < detectors; ++d) {
-      // Both complex components ride the same mask; each lane's (re, im)
-      // pair is the scalar sum bitwise, so decide_phase sees exactly the
-      // phasor the scalar gate path would.
-      __m512d acc_re = _mm512_setzero_pd();
-      __m512d acc_im = _mm512_setzero_pd();
-      for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
-        const __mmask8 mask = static_cast<__mmask8>(masks[slots[i]]);
-        acc_re = _mm512_add_pd(
-            acc_re, _mm512_mask_blend_pd(mask, _mm512_set1_pd(re0[i]),
-                                         _mm512_set1_pd(re1[i])));
-        acc_im = _mm512_add_pd(
-            acc_im, _mm512_mask_blend_pd(mask, _mm512_set1_pd(im0[i]),
-                                         _mm512_set1_pd(im1[i])));
-      }
-      alignas(64) double lane_re[8];
-      alignas(64) double lane_im[8];
-      _mm512_store_pd(lane_re, acc_re);
-      _mm512_store_pd(lane_im, acc_im);
-      for (std::size_t l = 0; l < 8; ++l) {
-        const auto decision = sw::core::decide_phase(
-            std::complex<double>(lane_re[l], lane_im[l]),
-            sw::core::kPhaseZero);
-        sw::core::ChannelResult& r = out[(w + l) * detectors + results[d]];
-        r.channel = det_channel[d];
-        r.logic = decision.logic;
-        r.phase = decision.phase;
-        r.amplitude = decision.amplitude;
-        r.margin = decision.margin;
-      }
-    }
-  }
-  if (w < end) scalar_kernel().eval_channels(plan, bits, w, end, out);
-}
-
 }  // namespace
 
 const Kernel* detail::avx512_kernel_candidate() {
   // No CPUID check here — this TU is compiled with -mavx512f/-mavx512bw,
   // so anything non-trivial in it could fault on an older host. The
   // runtime support check lives in dispatch.cpp; this is a bare constant
-  // return.
+  // return. The AVX2 entries it borrows are linked in because CMake only
+  // compiles this TU alongside the AVX2 kernel.
   static constexpr Kernel kernel{"avx512",
                                  &eval_bits_avx512,
                                  &eval_planes_avx512,
-                                 &pack_planes_avx512,
-                                 &eval_channels_avx512};
+                                 &detail::pack_planes_avx2,
+                                 &detail::eval_channels_avx2};
   return &kernel;
 }
 

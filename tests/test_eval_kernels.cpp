@@ -641,6 +641,24 @@ std::vector<std::uint64_t> to_planes(const std::vector<std::uint8_t>& bits,
   return planes;
 }
 
+/// The per-bit pack reference: column-major planes of a row-major
+/// num_words x cols byte matrix over `groups` groups, any nonzero byte a 1
+/// and every lane past num_words 0 (pack_planes' contract).
+std::vector<std::uint64_t> reference_planes(
+    const std::vector<std::uint8_t>& rows, std::size_t cols,
+    std::size_t num_words, std::size_t groups) {
+  std::vector<std::uint64_t> planes(cols * groups, 0);
+  for (std::size_t w = 0; w < num_words; ++w) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (rows[w * cols + c] != 0) {
+        planes[c * groups + w / kPlaneWords] |= std::uint64_t{1}
+                                                << (w % kPlaneWords);
+      }
+    }
+  }
+  return planes;
+}
+
 /// Rows [0, num_words) of channel-major output planes as a byte matrix.
 std::vector<std::uint8_t> from_planes(const std::vector<std::uint64_t>& planes,
                                       std::size_t num_words,
@@ -666,20 +684,46 @@ std::vector<std::uint8_t> byte_decode(const EvalPlan& plan,
   return out;
 }
 
-/// Every kernel's plane entry against every kernel's byte entry on random
-/// (non-canonical) bytes, with two different garbage fills of the unused
-/// lanes of the last plane.
+/// Every kernel's four entries on random (non-canonical) bytes: the plane
+/// entry against the scalar byte entry, with two different garbage fills
+/// of the unused lanes of the last plane; the byte entry likewise;
+/// pack_planes against the per-bit reference; and eval_channels against
+/// the scalar one, field by field.
 void expect_planes_match_bytes(const EvalPlan& plan, std::size_t num_words,
                                unsigned seed, const std::string& what) {
   std::mt19937 rng(seed);
   std::uniform_int_distribution<int> byte(0, 3);  // 2, 3: nonzero, not 1
-  std::vector<std::uint8_t> bits(num_words * plan.slot_count());
+  const std::size_t cols = plan.slot_count();
+  std::vector<std::uint8_t> bits(num_words * cols);
   for (auto& b : bits) b = static_cast<std::uint8_t>(byte(rng));
   const auto want = byte_decode(plan, scalar_kernel(), bits, num_words);
   const std::size_t groups = plane_groups(num_words);
+  const auto want_planes = reference_planes(bits, cols, num_words, groups);
+  const std::size_t results = num_words * plan.num_detectors();
+  std::vector<ChannelResult> want_channels(results);
+  scalar_kernel().eval_channels(plan, bits.data(), 0, num_words,
+                                want_channels.data());
   for (const Kernel* k : available_kernels()) {
     ASSERT_EQ(byte_decode(plan, *k, bits, num_words), want)
         << what << ": byte entry, kernel " << k->name;
+    std::vector<std::uint64_t> packed(cols * groups, 0xA5A5A5A5A5A5A5A5ull);
+    k->pack_planes(bits.data(), cols, num_words, groups, packed.data());
+    ASSERT_EQ(packed, want_planes)
+        << what << ": pack_planes, kernel " << k->name << ", " << cols
+        << " columns, " << num_words << " words";
+    std::vector<ChannelResult> channels(results);
+    k->eval_channels(plan, bits.data(), 0, num_words, channels.data());
+    for (std::size_t i = 0; i < results; ++i) {
+      SCOPED_TRACE(what + ": eval_channels, kernel " + k->name +
+                   ", result " + std::to_string(i));
+      const ChannelResult& got = channels[i];
+      const ChannelResult& ref = want_channels[i];
+      ASSERT_EQ(got.channel, ref.channel);
+      ASSERT_EQ(got.logic, ref.logic);
+      ASSERT_EQ(got.phase, ref.phase);
+      ASSERT_EQ(got.amplitude, ref.amplitude);
+      ASSERT_EQ(got.margin, ref.margin);
+    }
     for (const std::uint64_t fill : {std::uint64_t{seed}, ~std::uint64_t{0}}) {
       std::mt19937_64 garbage(fill);
       const auto in = to_planes(bits, num_words, plan.slot_count(), garbage);
@@ -808,7 +852,7 @@ TEST(PlaneKernel, ChannelWithoutADetectorComesOutZero) {
 TEST(PlaneKernel, PackPlanesMatchesANaiveReference) {
   // Every kernel's byte-to-plane pack against a per-bit reference: any
   // nonzero byte is a 1, column counts straddle the 8-column SWAR tile and
-  // the 64-column AVX-512 chunk, word counts straddle the 8-word tile and
+  // the 32-column AVX2 chunk, word counts straddle the 8-word tile and
   // the 64-word plane, and lanes past num_words (plus one spare group)
   // come out 0 over a poisoned buffer.
   constexpr std::uint8_t kNonzero[] = {0x01, 0x02, 0x80, 0xFF};
@@ -820,15 +864,7 @@ TEST(PlaneKernel, PackPlanesMatchesANaiveReference) {
       std::vector<std::uint8_t> rows(num_words * cols);
       for (auto& b : rows) b = (rng() & 1) ? kNonzero[rng() % 4] : 0;
       const std::size_t groups = plane_groups(num_words) + 1;
-      std::vector<std::uint64_t> want(cols * groups, 0);
-      for (std::size_t w = 0; w < num_words; ++w) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          if (rows[w * cols + c] != 0) {
-            want[c * groups + w / kPlaneWords] |= std::uint64_t{1}
-                                                  << (w % kPlaneWords);
-          }
-        }
-      }
+      const auto want = reference_planes(rows, cols, num_words, groups);
       for (const Kernel* k : available_kernels()) {
         std::vector<std::uint64_t> got(cols * groups, 0xA5A5A5A5A5A5A5A5ull);
         k->pack_planes(rows.data(), cols, num_words, groups, got.data());

@@ -131,6 +131,70 @@ TEST(LayoutHash, GoldenValuePinsCanonicalFormat) {
   EXPECT_EQ(hash_layout(lay), 0xf733003c29d86516ull);
 }
 
+// One writer per spec type: the canonical layout/program bytes and the
+// wire's v2 spec and v3 program blocks all write GateSpec and ProgramSpec
+// through the same functions. These pins were produced by a separate
+// process before the wire blocks moved onto the canonical writers, so a
+// byte of drift in any of the four forms fails here. The fixtures set
+// every spec field, a truthy non-1 invert flag and every slot source kind.
+GateLayout pinned_layout() {
+  GateLayout lay;
+  lay.spec.num_inputs = 2;
+  lay.spec.frequencies = {1.0e10, 2.5e10};
+  lay.spec.transducer_width = 12e-9;
+  lay.spec.min_gap = 2e-9;
+  lay.spec.min_same_channel_spacing = 3e-9;
+  lay.spec.multiple_search = -2;
+  lay.spec.invert_output = {0, 7};  // a truthy flag writes as 1
+  lay.wavelengths = {1.0e-6, 4.0e-7};
+  lay.multiple = {1, 3};
+  lay.spacing = {1.0e-6, 1.2e-6};
+  lay.sources = {{0, 0, 0.0, 1.0}, {0, 1, 2.0e-8, 0.9},
+                 {1, 0, 4.0e-8, 1.1}, {1, 1, 6.0e-8, 1.0}};
+  lay.detectors = {{0, 2.0e-6, false}, {1, 3.0e-6, true}};
+  return lay;
+}
+
+sw::wavesim::ProgramSpec pinned_program() {
+  using Kind = sw::wavesim::SlotSource::Kind;
+  sw::wavesim::ProgramSpec program;
+  program.num_primary_inputs = 2;
+  sw::wavesim::StageSpec first;
+  first.gate.num_inputs = 3;
+  first.gate.frequencies = {1.0e10, 2.5e10};
+  first.gate.invert_output = {1, 0};
+  first.sources = {{Kind::kPrimary, 0, 0, false}, {Kind::kPrimary, 0, 1, false},
+                   {Kind::kZero, 0, 0, false},    {Kind::kPrimary, 0, 2, true},
+                   {Kind::kPrimary, 0, 3, false}, {Kind::kOne, 0, 0, false}};
+  sw::wavesim::StageSpec second;
+  second.gate.num_inputs = 1;
+  second.gate.frequencies = {1.0e10, 2.5e10};
+  second.sources = {{Kind::kStage, 0, 0, false}, {Kind::kStage, 0, 1, true}};
+  program.stages = {first, second};
+  return program;
+}
+
+std::vector<std::uint8_t> pinned_matrix(std::size_t words, std::size_t cols) {
+  std::vector<std::uint8_t> m(words * cols);
+  for (std::size_t i = 0; i < m.size(); ++i) m[i] = (i * 7 + i / 3) % 3 == 0;
+  return m;
+}
+
+TEST(WireFormat, SpecWritersPinFramesAndHashes) {
+  const GateLayout layout = pinned_layout();
+  const auto program = pinned_program();
+  EXPECT_EQ(hash_layout(layout), 0x6e7e73680f2ffd80ull);
+  EXPECT_EQ(hash_program(program), 0xfbe1912a499ae011ull);
+  const auto v2 =
+      encode_frame(make_request_frame(layout, 3, 5, pinned_matrix(5, 4)));
+  const auto v3 = encode_frame(
+      make_program_request_frame(program, 64, 5, pinned_matrix(5, 4)));
+  EXPECT_EQ(v2.size(), 143u);
+  EXPECT_EQ(fnv1a64(v2), 0x6960e648481741f3ull);
+  EXPECT_EQ(v3.size(), 401u);
+  EXPECT_EQ(fnv1a64(v3), 0x08eefdf1d64c14c8ull);
+}
+
 TEST(LayoutHash, ChunkedFnvRejectsLengthAliases) {
   const std::vector<std::uint8_t> one{1};
   const std::vector<std::uint8_t> one_padded{1, 0};
